@@ -1,7 +1,7 @@
 """CM values, traces, the exact formula, Duke's statistic, the regularized
 average, and beta(s).
 
-All certified quantities flow through RealHP/ComplexHP; traces carry an
+All certified quantities flow through HP records; traces carry an
 explicit rounding residual and are never silently rounded.
 """
 
@@ -14,10 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
-from .hp import ComplexHP, RealHP, _ulp
+from .hp import HP, _ulp
 from .qform import QuadForm, enumerate_reduced, hurwitz, is_fundamental, level_p_orbits, stabilizer_order
-from .series import QSeries, bigJ_series, faber_poly
+from .series import QSeries, _sigma, bigJ_series, faber_poly, j_series
 
 _LN2 = math.log(2.0)
 
@@ -55,7 +56,7 @@ def _j_certified(tau, prec: int):
         while True:
             n += 1
             qn *= q
-            s3 = _sigma_int(n, 3)
+            s3 = _sigma(n, 3)
             e4 += 240 * s3 * qn
             if 240 * _sigma3_cap(n + 1) * rf ** (n + 1) < float(cut):
                 break
@@ -83,19 +84,7 @@ def _j_certified(tau, prec: int):
             + 24 * tail_P / max(float(abs(P)), 0.5)
             + (n + 30) * 2.0 ** (-pw + 6)
         )
-        return ComplexHP(j, float(aj) * rel + _ulp(float(aj), prec), prec)
-
-
-@lru_cache(maxsize=None)
-def _sigma_int(n: int, k: int) -> int:
-    s = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            s += d**k
-            e = n // d
-            if e != d:
-                s += e**k
-    return s
+        return HP(j, float(aj) * rel + _ulp(float(aj), prec), prec)
 
 
 def _parse_fspec(f_spec):
@@ -119,18 +108,18 @@ def _parse_fspec(f_spec):
     raise ValueError(f"unrecognized function spec {f_spec!r}")
 
 
-def eval_modular(f_spec, tau, precision: int = 64) -> ComplexHP:
+def eval_modular(f_spec, tau, precision: int = 64) -> HP:
     """Certified value of a polynomial in j (or named function) at tau in
     the standard fundamental domain."""
     label, coeffs, qexp, _deg = _parse_fspec(f_spec)
     if qexp is not None:
         return eval_qexpansion(qexp, tau, precision)
     with mp.workprec(precision + 32):  # convert without re-rounding the input
-        tval = mp.mpc(tau.value) if isinstance(tau, ComplexHP) else mp.mpc(tau)
+        tval = mp.mpc(tau.value) if isinstance(tau, HP) else mp.mpc(tau)
     if float(tval.imag) < math.sqrt(3) / 2 - 1e-12:
         raise ValueError("tau must lie in the fundamental domain (Im >= sqrt(3)/2)")
     if label == "1":
-        return ComplexHP.exact(1, precision)
+        return HP(mp.mpc(1), 0.0, precision)
     jv = _j_certified(tval, precision)
     # exact-coefficient Horner in j with running error bound
     with mp.workprec(precision + 32):
@@ -140,10 +129,10 @@ def eval_modular(f_spec, tau, precision: int = 64) -> ComplexHP:
         for c in reversed(coeffs):
             err = err * aj + float(abs(acc)) * jv.error_bound + _ulp(float(abs(acc)) * aj + 1.0, precision)
             acc = acc * jv.value + mp.mpf(c.numerator) / c.denominator
-        return ComplexHP(acc, err, precision)
+        return HP(acc, err, precision)
 
 
-def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> ComplexHP:
+def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> HP:
     """Numerical value of an exact q-expansion at tau (Im tau > 0).
 
     The error bound covers rounding only; accuracy beyond the series'
@@ -151,7 +140,7 @@ def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> ComplexHP:
     residuals stay honest either way).
     """
     with mp.workprec(precision + 32):
-        tval = mp.mpc(tau.value) if isinstance(tau, ComplexHP) else mp.mpc(tau)
+        tval = mp.mpc(tau.value) if isinstance(tau, HP) else mp.mpc(tau)
     if float(tval.imag) <= 0:
         raise ValueError("Im tau > 0 required")
     with mp.workprec(precision + 32):
@@ -161,7 +150,7 @@ def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> ComplexHP:
             c = series.terms[n]
             acc += (mp.mpf(c.numerator) / c.denominator) * w**n
         eb = (len(series.terms) + 4) * _ulp(float(abs(acc)) + 1.0, precision)
-        return ComplexHP(acc, eb, precision)
+        return HP(acc, eb, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +161,7 @@ class TraceEntry:
     D: int
     p: int
     f_label: str
-    value_numeric: RealHP
+    value_numeric: HP
     value_rounded: Fraction
     residual: float
     certified: bool
@@ -184,8 +173,6 @@ _RESIDUAL_THRESHOLD = 1e-6
 
 
 def _alpha_of(form: QuadForm, prec: int):
-    # +32 matches every other internal working precision: under threaded
-    # batches the shared mpmath context then never actually changes value
     with mp.workprec(prec + 32):
         return mp.mpc(-form.b, mp.sqrt(form.D)) / (2 * form.a)
 
@@ -219,7 +206,7 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
     if p > 1 and qexp is None:
         raise ValueError("level p > 1 requires f as an exact q-expansion")
     if D <= 0 or D % 4 in (1, 2):
-        z = RealHP.exact(0, precision or 53)
+        z = HP(0, 0.0, precision or 53)
         return TraceEntry(D, p, label, z, Fraction(0), 0.0, True, z.prec, 0)
     if precision is None:
         precision = precision_for(D, deg)
@@ -251,7 +238,7 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
                 total += v.value.real / o.stabilizer_order
                 err += v.error_bound / o.stabilizer_order
 
-    num = RealHP(total, err + 4 * _ulp(abs(float(total)) + 1.0, precision), precision)
+    num = HP(total, err + 4 * _ulp(abs(float(total)) + 1.0, precision), precision)
     # traces land in (1/12)Z (stabilizer orders divide 12's divisor lattice);
     # nearest-twelfth rounding reduces to the integer when the trace is one
     with mp.workprec(precision + 32):
@@ -262,37 +249,21 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
 
 
 def trace_table(f_spec, Ds, p: int = 1, threads: int = 1):
-    """Traces for a batch of D values, deterministically ordered.
+    """trace() for each distinct D, ascending, at its own precision_for(D).
 
-    All entries are computed at one fixed precision (the max of the per-D
-    policy over the batch) so results are independent of scheduling.
+    Computed sequentially: mpmath is pure Python, so threads would only
+    contend for the interpreter lock.  `threads` is accepted for
+    compatibility and must be at least 1.
     """
-    Ds = sorted(set(Ds))
-    _, _, _, deg = _parse_fspec(f_spec)
-    if not Ds:
-        return []
-    prec = max(precision_for(D, deg) for D in Ds)
-    if threads <= 1:
-        return [trace(f_spec, D, p, prec) for D in Ds]
-    from concurrent.futures import ThreadPoolExecutor
-
-    # pin the shared mpmath context to the batch working precision so the
-    # workprec managers inside trace() are value-preserving under any
-    # interleaving; results are then identical to the sequential path
-    saved = mp.mp.prec
-    mp.mp.prec = prec + 32
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {D: ex.submit(trace, f_spec, D, p, prec) for D in Ds}
-            return [futs[D].result() for D in Ds]
-    finally:
-        mp.mp.prec = saved
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    return [trace(f_spec, D, p) for D in sorted(set(Ds))]
 
 
 # ---------------------------------------------------------------------------
 # exact formula / asymptotics / Duke statistic
 
-def exact_formula_tJ(D: int, c_max: int = 10000, precision: int = 53) -> RealHP:
+def exact_formula_tJ(D: int, c_max: int = 10000, precision: int = 53) -> HP:
     """-24 H(D) + sum over 0 < c = 0 (mod 4), c <= c_max of
     S(D,c) sinh(4 pi sqrt(D)/c).  Partial sum by contract; the series
     converges too slowly for certified summation."""
@@ -315,10 +286,10 @@ def exact_formula_tJ(D: int, c_max: int = 10000, precision: int = 53) -> RealHP:
         sh = 0.5 * (math.exp(arg) - math.exp(-arg))
         total += float(s.value) * sh
         err += s.error_bound * sh + _ulp(abs(float(s.value)) * sh + 1.0, 53)
-    return RealHP(total, err, precision)
+    return HP(total, err, precision)
 
 
-def asymptotic_residual(D: int, precision: int | None = None) -> RealHP:
+def asymptotic_residual(D: int, precision: int | None = None) -> HP:
     """t_J(D) - (-1)^D e^{pi sqrt D}."""
     entry = trace("J", D, 1, precision)
     prec = entry.precision
@@ -326,7 +297,7 @@ def asymptotic_residual(D: int, precision: int | None = None) -> RealHP:
         main = (-1) ** (D % 2) * mp.e ** (mp.pi * mp.sqrt(D))
         val = mp.mpf(entry.value_rounded.numerator) / entry.value_rounded.denominator - main
     eb = entry.residual + entry.value_numeric.error_bound + 4 * _ulp(abs(float(main)), prec)
-    return RealHP(val, eb, prec)
+    return HP(val, eb, prec)
 
 
 @lru_cache(maxsize=4)
@@ -335,7 +306,7 @@ def _J_coeff_floats(nmax: int):
     return [float(J.coeff(n)) for n in range(1, nmax + 1)]
 
 
-def duke_statistic(D: int, precision: int = 53) -> RealHP:
+def duke_statistic(D: int, precision: int = 53) -> HP:
     """(t_J(D) - sum over reduced forms with Im alpha > 1 of e(-alpha_Q))
     divided by H(D).
 
@@ -362,10 +333,10 @@ def duke_statistic(D: int, precision: int = 53) -> RealHP:
             total += (tail + 1.0 / q).real / w
     h = hurwitz(D)
     val = total / (h.numerator / h.denominator)
-    return RealHP(mp.mpf(val), 1e-9 * (abs(val) + 1.0), 53)
+    return HP(mp.mpf(val), 1e-9 * (abs(val) + 1.0), 53)
 
 
-def _duke_statistic_mp(D: int, precision: int) -> RealHP:
+def _duke_statistic_mp(D: int, precision: int) -> HP:
     # |c(n) q^n| ~ e^{4 pi sqrt n - pi sqrt 3 n}: linear decay wins fast
     nmax = 24 + int(0.2 * precision)
     J = bigJ_series(nmax + 1)
@@ -385,7 +356,7 @@ def _duke_statistic_mp(D: int, precision: int) -> RealHP:
                 total += (tail + 1 / q).real / w
         h = hurwitz(D)
         val = total * h.denominator / h.numerator
-    return RealHP(val, 2.0 ** (-precision + 12) * (abs(float(val)) + 1.0), precision)
+    return HP(val, 2.0 ** (-precision + 12) * (abs(float(val)) + 1.0), precision)
 
 
 def duke_window_mean(lo: int, hi: int, precision: int = 53):
@@ -403,29 +374,23 @@ def duke_window_mean(lo: int, hi: int, precision: int = 53):
 # ---------------------------------------------------------------------------
 # regularized average and beta
 
-def _poly_in_j_floats(f_spec):
-    label, coeffs, qexp, _ = _parse_fspec(f_spec)
-    if qexp is not None or coeffs is None:
-        raise ValueError("regularized average needs a polynomial in j")
-    return label, [float(c) for c in coeffs]
+def _f_grid_evaluator(f_spec):
+    """(f_vals(x, y) -> complex ndarray, pole order n0, |leading|).
 
-
-def regularized_average(f_spec, precision: int = 53) -> RealHP:
-    """(3/pi) * regularized integral of f over the modular curve.
-
-    Only the sliver of the fundamental domain below y = 1 needs
-    quadrature: above it the domain is the full unit strip, where each
-    horocycle integral equals the constant term -- exactly zero for the
-    admissible f, and handled in closed form for the constant function.
+    Accepts the constant "1" or polynomials in j with vanishing constant
+    term (checked exactly), as in the trace machinery.
     """
-    label, fc = _poly_in_j_floats(f_spec)
-    if label == "1":
-        return RealHP.exact(1, precision)
-    # constant term of the polynomial in j must vanish
-    from .series import j_series
+    _, coeffs, qexp, deg = _parse_fspec(f_spec)
+    if qexp is not None:
+        raise ValueError("f must be '1' or a polynomial in j")
+    if deg == 0:
+        cst = float(coeffs[0])
 
-    _, coeffs, _, _ = _parse_fspec(f_spec)
-    deg = len(coeffs) - 1
+        def f_const(x, y):
+            return np.full_like(np.asarray(x, dtype=float), cst) + 0j
+
+        return f_const, 0, abs(cst)
+
     js = j_series(deg + 2)
     fs = QSeries({0: coeffs[-1]}, deg + 2)
     for c in reversed(coeffs[:-1]):
@@ -433,14 +398,12 @@ def regularized_average(f_spec, precision: int = 53) -> RealHP:
     if fs.coeff(0) != 0:
         raise ValueError("f must have vanishing constant term (or be the constant 1)")
 
-    import numpy as np
-
-    nmax = 28
-    jc = [float(x) for x in _J_coeff_floats(nmax)]  # J tail coefficients
+    fc = [float(c) for c in coeffs]
+    jc = _J_coeff_floats(28)
 
     def f_vals(x, y):
         # f at x + iy on the grid, via j = 1/q + 744 + sum c(n) q^n
-        q = np.exp(2j * np.pi * (x + 1j * y))
+        q = np.exp(2j * np.pi * (np.asarray(x) + 1j * np.asarray(y)))
         tail = np.zeros_like(q)
         for c in reversed(jc):
             tail = (tail + c) * q
@@ -448,7 +411,22 @@ def regularized_average(f_spec, precision: int = 53) -> RealHP:
         out = np.zeros_like(q)
         for c in reversed(fc):
             out = out * jv + c
-        return out.real
+        return out
+
+    return f_vals, deg, abs(fc[-1])
+
+
+def regularized_average(f_spec, precision: int = 53) -> HP:
+    """(3/pi) * regularized integral of f over the modular curve.
+
+    Only the sliver of the fundamental domain below y = 1 needs
+    quadrature: above it the domain is the full unit strip, where each
+    horocycle integral equals the constant term -- exactly zero for the
+    admissible f, and handled in closed form for the constant function.
+    """
+    f_vals, n0, _ = _f_grid_evaluator(f_spec)
+    if n0 == 0:  # the constant 1
+        return HP(1, 0.0, precision)
 
     def quad_once(nx, ny):
         gx, wx = np.polynomial.legendre.leggauss(nx)
@@ -461,7 +439,7 @@ def regularized_average(f_spec, precision: int = 53) -> RealHP:
             y0 = math.sqrt(1.0 - xi * xi)
             y = 0.5 * (1.0 - y0) * (gy + 1.0) + y0
             wys = 0.5 * (1.0 - y0) * wy
-            vals = f_vals(np.full_like(y, xi), y) / (y * y)
+            vals = f_vals(np.full_like(y, xi), y).real / (y * y)
             total += wxi * float(np.dot(wys, vals))
         return 2.0 * total  # unfold x-symmetry
 
@@ -473,10 +451,10 @@ def regularized_average(f_spec, precision: int = 53) -> RealHP:
         change = abs(cur - prev)
     val = (3.0 / math.pi) * cur
     eb = (3.0 / math.pi) * change + 1e-11 * (abs(val) + 1.0)
-    return RealHP(mp.mpf(val), eb, precision)
+    return HP(mp.mpf(val), eb, precision)
 
 
-def beta_integral(s, precision: int = 53) -> RealHP:
+def beta_integral(s, precision: int = 53) -> HP:
     """beta(s) = integral over t >= 1 of t^(-3/2) e^(-st) dt.
 
     Substituting u = t^(-1/2) gives 2 * integral_0^1 e^(-s/u^2) du: a
@@ -486,7 +464,7 @@ def beta_integral(s, precision: int = 53) -> RealHP:
     if s < 0:
         raise ValueError("s >= 0")
     if s == 0:
-        return RealHP.exact(2, precision)
+        return HP(2, 0.0, precision)
     p = max(precision, 53)
     with mp.workprec(p + 24):
         sm = mp.mpf(s)
@@ -497,4 +475,4 @@ def beta_integral(s, precision: int = 53) -> RealHP:
             return 2 * mp.e ** (-sm / (u * u))
 
         val, est = mp.quad(h, [0, 1], error=True)
-    return RealHP(val, float(est) * 4 + _ulp(abs(float(val)) + 1.0, p), precision)
+    return HP(val, float(est) * 4 + _ulp(abs(float(val)) + 1.0, p), precision)

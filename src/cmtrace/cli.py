@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from . import reports
 from .analytic import (
@@ -20,7 +19,6 @@ from .analytic import (
     exact_formula_tJ,
     regularized_average,
     trace,
-    trace_table,
 )
 from .cache import Cache, cache_key
 from .qform import QuadForm, enumerate_reduced, hurwitz, is_fundamental, reduce, stabilizer_order
@@ -36,22 +34,10 @@ from .series import (
 )
 from .sums import poincare_coeff
 from .thetalift import theta_integral
-from .verify import FULL_CHECKS, run_suite
+from .verify import FULL_CHECKS, _admissible, run_suite
 
-
-@dataclass(frozen=True)
-class Config:
-    precision_bits: int = 64
-    threads: int = 1
-    cache_dir: object = None
-    default_c_max: int = 10 ** 5
-    default_tol: float = 1e-4
-
-    def validate(self):
-        if self.precision_bits < 64:
-            raise ValueError("--precision must be at least 64 bits")
-        if self.threads < 1:
-            raise ValueError("--threads must be at least 1")
+DEFAULT_C_MAX = 10 ** 5  # poincare --cmax
+DEFAULT_TOL = 1e-4  # theta --tol
 
 
 # -- argument converters (bad values exit 2 through argparse) ---------------
@@ -90,10 +76,6 @@ def _tau_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected a complex like 0.5+2j, got {text!r}")
 
 
-def _admissible(lo: int, hi: int):
-    return [D for D in range(max(lo, 3), hi + 1) if D % 4 in (0, 3)]
-
-
 def _resolve_Ds(args):
     if args.D is not None:
         return [args.D]
@@ -102,14 +84,14 @@ def _resolve_Ds(args):
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_reduce(args, cfg, cache):
+def cmd_reduce(args, cache):
     R = reduce(args.form)
     rows = [{"D": R.D, "a": R.a, "b": R.b, "c": R.c,
              "stabilizer": stabilizer_order(R)}]
     return reports.render_table(rows, reports.FORM_FIELDS, args.format), 0
 
 
-def cmd_forms(args, cfg, cache):
+def cmd_forms(args, cache):
     rows = []
     for D in _resolve_Ds(args):
         for F in enumerate_reduced(D):
@@ -118,7 +100,7 @@ def cmd_forms(args, cfg, cache):
     return reports.render_table(rows, reports.FORM_FIELDS, args.format), 0
 
 
-def cmd_classnum(args, cfg, cache):
+def cmd_classnum(args, cache):
     if args.D is not None:
         Ds = [args.D]
     else:
@@ -131,20 +113,15 @@ def cmd_classnum(args, cfg, cache):
     return reports.render_table(rows, reports.CLASSNUM_FIELDS, args.format), 0
 
 
-def cmd_trace(args, cfg, cache):
+def cmd_trace(args, cache):
     Ds = _resolve_Ds(args)
     key = cache_key("trace", {"f": args.f, "Ds": Ds, "p": args.level},
                     args.precision or "policy")
     rows = cache.get(key)
     if rows is None:
-        if args.precision is not None:
-            entries = [trace(args.f, D, args.level, args.precision) for D in Ds]
-        else:
-            entries = trace_table(args.f, Ds, p=args.level, threads=cfg.threads)
-        rows = [{"D": e.D, "p": e.p, "f": e.f_label,
-                 "trace": e.value_rounded, "residual": e.residual,
-                 "certified": e.certified, "precision": e.precision}
-                for e in entries]
+        # Ds is sorted and distinct: this is trace_table at --precision
+        rows = [reports.trace_row(trace(args.f, D, args.level, args.precision))
+                for D in Ds]
         cache.put(key, rows)
     code = 0 if all(r["certified"] for r in rows) else 3
     return reports.render_table(rows, reports.TRACE_FIELDS, args.format), code
@@ -157,7 +134,7 @@ _SERIES = {
 }
 
 
-def cmd_series(args, cfg, cache):
+def cmd_series(args, cache):
     name = args.name
     if name in _SERIES:
         s = _SERIES[name](args.dmax + 1)
@@ -170,7 +147,7 @@ def cmd_series(args, cfg, cache):
     return reports.render_table(rows, reports.SERIES_FIELDS, args.format), 0
 
 
-def cmd_exactformula(args, cfg, cache):
+def cmd_exactformula(args, cache):
     Ds = _resolve_Ds(args)
     cmax = args.cmax or 10 ** 4
     prec = args.precision or 53
@@ -186,8 +163,8 @@ def cmd_exactformula(args, cfg, cache):
     return reports.render_table(rows, reports.EXACTFORMULA_FIELDS, args.format), 0
 
 
-def cmd_poincare(args, cfg, cache):
-    cmax = args.cmax or cfg.default_c_max
+def cmd_poincare(args, cache):
+    cmax = args.cmax or DEFAULT_C_MAX
     prec = args.precision or 53
     key = cache_key("poincare", {"k": args.k, "m": args.m, "n": args.n,
                                  "c_max": cmax}, prec)
@@ -200,7 +177,7 @@ def cmd_poincare(args, cfg, cache):
     return reports.render_table(rows, reports.POINCARE_FIELDS, args.format), 0
 
 
-def cmd_duke(args, cfg, cache):
+def cmd_duke(args, cache):
     rows = []
     for D in _admissible(*args.range):
         rows.append({"D": D, "statistic": float(duke_statistic(D).value),
@@ -208,8 +185,8 @@ def cmd_duke(args, cfg, cache):
     return reports.render_table(rows, reports.DUKE_FIELDS, args.format), 0
 
 
-def cmd_theta(args, cfg, cache):
-    tol = args.tol or cfg.default_tol
+def cmd_theta(args, cache):
+    tol = args.tol or DEFAULT_TOL
     r = theta_integral(args.h, args.tau, args.f, tol=tol)
     rows = [{"h": args.h, "tau": repr(args.tau), "f": args.f, "tol": tol,
              "integral_re": float(r.value.real),
@@ -218,20 +195,20 @@ def cmd_theta(args, cfg, cache):
     return reports.render_table(rows, reports.THETA_FIELDS, args.format), 0
 
 
-def cmd_avg(args, cfg, cache):
+def cmd_avg(args, cache):
     r = regularized_average(args.f, precision=args.precision or 53)
     rows = [{"f": args.f, "value": float(r.value), "error_bound": r.error_bound}]
     return reports.render_table(rows, reports.AVG_FIELDS, args.format), 0
 
 
-def cmd_verify(args, cfg, cache):
+def cmd_verify(args, cache):
     what = args.what
     if what in ("fast", "full"):
         level, only = what, None
     else:
         level, only = "fast", what
     t0 = time.time()
-    results, passed = run_suite(level, only=only, threads=cfg.threads,
+    results, passed = run_suite(level, only=only, threads=args.threads,
                                 dmax=args.dmax, cmax=args.cmax, tol=args.tol)
     outputs = [{"check": r.name, "identity": r.identity, "passed": r.passed,
                 "detail": r.detail, "seconds": round(r.seconds, 3)}
@@ -239,7 +216,7 @@ def cmd_verify(args, cfg, cache):
     rep = reports.make_report(
         "verify",
         {"what": what, "dmax": args.dmax, "cmax": args.cmax,
-         "tol": args.tol, "threads": cfg.threads},
+         "tol": args.tol, "threads": args.threads},
         outputs,
         "each row names the modular identity it validates",
         passed=passed, seconds=time.time() - t0)
@@ -326,17 +303,16 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    cfg = Config(precision_bits=getattr(args, "precision", None) or 64,
-                 threads=args.threads, cache_dir=args.cache_dir)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    if (args.precision or 64) < 64:
+        print("usage error: --precision must be at least 64 bits", file=sys.stderr)
+        return 2
+    if args.threads < 1:
+        print("usage error: --threads must be at least 1", file=sys.stderr)
         return 2
 
     cache = Cache(directory=args.cache_dir, enabled=not args.no_cache)
     try:
-        text, code = args.fn(args, cfg, cache)
+        text, code = args.fn(args, cache)
     except (ValueError, NotImplementedError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

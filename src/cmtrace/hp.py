@@ -1,14 +1,12 @@
-"""Precision-tracked real/complex values.
+"""Precision-tracked values.
 
-Thin wrappers around mpmath numbers carrying an absolute error bound.
-The bound is propagated conservatively through arithmetic; code that
-computes a value by truncating a series is expected to add its own
-truncation bound on top via ``with_extra_error``.
+An ``HP`` records an mpmath number (``mpf`` or ``mpc``), an absolute
+error bound and the precision it was computed at.  Code that computes a
+value folds its own rounding and truncation bounds into ``error_bound``
+before building the record.
 """
 
 from __future__ import annotations
-
-import math
 
 import mpmath as mp
 
@@ -19,215 +17,23 @@ def _ulp(mag: float, prec: int) -> float:
     return mag * 2.0 ** (1 - prec) + 5e-324
 
 
-class RealHP:
+class HP:
     __slots__ = ("value", "error_bound", "prec")
 
     def __init__(self, value, error_bound: float = 0.0, prec: int | None = None):
         self.prec = int(prec if prec is not None else mp.mp.prec)
+        is_complex = isinstance(value, (mp.mpc, complex))
         # convert at the declared precision, not the ambient context's:
         # otherwise a high-precision value constructed from a low-precision
         # caller would be silently re-rounded, invalidating error bounds
         with mp.workprec(self.prec):
-            self.value = mp.mpf(value)
-        self.error_bound = float(error_bound)
-        if self.value != value:  # conversion rounded: charge one ulp
-            self.error_bound += _ulp(abs(float(self.value)) or 1.0, self.prec)
-        if self.error_bound < 0:
-            raise ValueError("error bound must be nonnegative")
-
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def exact(cls, x, prec: int | None = None) -> "RealHP":
-        p = int(prec if prec is not None else mp.mp.prec)
-        with mp.workprec(p):
-            v = mp.mpf(x)
-        err = 0.0
-        # ints and dyadics representable at prec stay exact; anything else
-        # is rounded once
-        if v != x:
-            err = _ulp(abs(float(v)) or 1.0, p)
-        return cls(v, err, p)
-
-    def with_extra_error(self, extra: float) -> "RealHP":
-        return RealHP(self.value, self.error_bound + abs(extra), self.prec)
-
-    # -- arithmetic ------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, RealHP):
-            return other
-        return RealHP(mp.mpf(other), 0.0, self.prec)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        with mp.workprec(p):
-            v = self.value + o.value
-        return RealHP(v, self.error_bound + o.error_bound + _ulp(abs(float(v)), p), p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RealHP(-self.value, self.error_bound, self.prec)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        with mp.workprec(p):
-            v = self.value * o.value
-        eb = (
-            abs(float(self.value)) * o.error_bound
-            + abs(float(o.value)) * self.error_bound
-            + self.error_bound * o.error_bound
-            + _ulp(abs(float(v)), p)
-        )
-        return RealHP(v, eb, p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if abs(float(o.value)) <= o.error_bound:
-            raise ZeroDivisionError("divisor interval contains zero")
-        p = min(self.prec, o.prec)
-        with mp.workprec(p):
-            v = self.value / o.value
-        denom = abs(float(o.value)) - o.error_bound
-        eb = (self.error_bound + abs(float(v)) * o.error_bound) / denom + _ulp(abs(float(v)), p)
-        return RealHP(v, eb, p)
-
-    def __abs__(self):
-        return RealHP(abs(self.value), self.error_bound, self.prec)
-
-    def __float__(self):
-        return float(self.value)
-
-    def __repr__(self):
-        return f"RealHP({mp.nstr(self.value, 12)} ± {self.error_bound:.3g} @ {self.prec}b)"
-
-    # -- certified comparisons -------------------------------------------
-    def certainly_lt(self, bound: float) -> bool:
-        return float(self.value) + self.error_bound < bound
-
-    def contains(self, x) -> bool:
-        return abs(float(self.value - mp.mpf(x))) <= self.error_bound
-
-
-def real_exp(x: RealHP) -> RealHP:
-    with mp.workprec(x.prec):
-        v = mp.e ** x.value
-    eb = float(v) * math.expm1(min(x.error_bound, 700.0)) + _ulp(abs(float(v)), x.prec)
-    return RealHP(v, eb, x.prec)
-
-
-def real_sqrt(x: RealHP) -> RealHP:
-    if float(x.value) - x.error_bound <= 0:
-        raise ValueError("sqrt needs a certainly-positive argument")
-    with mp.workprec(x.prec):
-        v = mp.sqrt(x.value)
-    eb = x.error_bound / (2.0 * math.sqrt(float(x.value) - x.error_bound))
-    return RealHP(v, eb + _ulp(float(v), x.prec), x.prec)
-
-
-def real_sinh(x: RealHP) -> RealHP:
-    with mp.workprec(x.prec):
-        v = mp.sinh(x.value)
-    slope = float(mp.cosh(abs(x.value) + x.error_bound))
-    return RealHP(v, slope * x.error_bound + _ulp(abs(float(v)), x.prec), x.prec)
-
-
-class ComplexHP:
-    __slots__ = ("value", "error_bound", "prec")
-
-    def __init__(self, value, error_bound: float = 0.0, prec: int | None = None):
-        self.prec = int(prec if prec is not None else mp.mp.prec)
-        with mp.workprec(self.prec):  # see RealHP.__init__
-            self.value = mp.mpc(value)
+            self.value = (mp.mpc if is_complex else mp.mpf)(value)
         self.error_bound = float(error_bound)  # bound on |true - value|
         if self.value != value:  # conversion rounded: charge one ulp
-            self.error_bound += _ulp(float(abs(self.value)) or 1.0, self.prec)
+            mag = float(abs(self.value)) if is_complex else abs(float(self.value))
+            self.error_bound += _ulp(mag or 1.0, self.prec)
         if self.error_bound < 0:
             raise ValueError("error bound must be nonnegative")
 
-    @classmethod
-    def exact(cls, x, prec: int | None = None) -> "ComplexHP":
-        p = int(prec if prec is not None else mp.mp.prec)
-        with mp.workprec(p):
-            v = mp.mpc(x)
-        return cls(v, 0.0 if v == x else _ulp(abs(v), p), p)
-
-    def with_extra_error(self, extra: float) -> "ComplexHP":
-        return ComplexHP(self.value, self.error_bound + abs(extra), self.prec)
-
-    @property
-    def real(self) -> RealHP:
-        return RealHP(self.value.real, self.error_bound, self.prec)
-
-    @property
-    def imag(self) -> RealHP:
-        return RealHP(self.value.imag, self.error_bound, self.prec)
-
-    def _coerce(self, other):
-        if isinstance(other, ComplexHP):
-            return other
-        if isinstance(other, RealHP):
-            return ComplexHP(mp.mpc(other.value), other.error_bound, other.prec)
-        return ComplexHP(mp.mpc(other), 0.0, self.prec)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        with mp.workprec(p):
-            v = self.value + o.value
-        return ComplexHP(v, self.error_bound + o.error_bound + _ulp(abs(v), p), p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexHP(-self.value, self.error_bound, self.prec)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        with mp.workprec(p):
-            v = self.value * o.value
-        eb = (
-            abs(self.value) * o.error_bound
-            + abs(o.value) * self.error_bound
-            + self.error_bound * o.error_bound
-            + _ulp(abs(v), p)
-        )
-        return ComplexHP(v, float(eb), p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if abs(o.value) <= o.error_bound:
-            raise ZeroDivisionError("divisor interval contains zero")
-        p = min(self.prec, o.prec)
-        with mp.workprec(p):
-            v = self.value / o.value
-        denom = float(abs(o.value)) - o.error_bound
-        eb = (self.error_bound + float(abs(v)) * o.error_bound) / denom + _ulp(abs(v), p)
-        return ComplexHP(v, eb, p)
-
-    def __abs__(self) -> RealHP:
-        return RealHP(abs(self.value), self.error_bound, self.prec)
-
-    def __complex__(self):
-        return complex(self.value)
-
     def __repr__(self):
-        return f"ComplexHP({mp.nstr(self.value, 12)} ± {self.error_bound:.3g} @ {self.prec}b)"
+        return f"HP({mp.nstr(self.value, 12)} ± {self.error_bound:.3g} @ {self.prec}b)"

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .hp import ComplexHP, RealHP, _ulp
+from .hp import HP, _ulp
 from .qform import QuadForm
 
 
@@ -99,7 +99,7 @@ class LatticeSpec:
 def x_of_z(z) -> LatticeVector:
     """The norm-1 vector spanning the negative line attached to z:
     X(z) = (1/y) [[-x, |z|^2], [-1, x]]."""
-    zz = complex(z.value) if isinstance(z, ComplexHP) else complex(z)
+    zz = complex(z.value) if isinstance(z, HP) else complex(z)
     x, y = zz.real, zz.imag
     if y <= 0:
         raise ValueError("Im z > 0 required")
@@ -112,21 +112,21 @@ def vector_of_form(Q: QuadForm) -> LatticeVector:
     return LatticeVector(Fraction(-Q.b, 2), Fraction(-Q.c), Fraction(Q.a))
 
 
-def majorant(X: LatticeVector, z) -> RealHP:
+def majorant(X: LatticeVector, z) -> HP:
     """(X, X(z))^2 - (X, X): positive definite, vanishing only at X = 0."""
     s = pair_with_xz(X, z)
     x1 = float(X.x1)
     val = s * s + 2 * x1 * x1 + 2 * float(X.x2) * float(X.x3)
-    return RealHP(mp.mpf(val), 16 * _ulp(abs(val) + 1.0, 53), 53)
+    return HP(mp.mpf(val), 16 * _ulp(abs(val) + 1.0, 53), 53)
 
 
 def pair_with_xz(X: LatticeVector, z) -> float:
-    zz = complex(z.value) if isinstance(z, ComplexHP) else complex(z)
+    zz = complex(z.value) if isinstance(z, HP) else complex(z)
     x, y = zz.real, zz.imag
     return (2 * x * float(X.x1) + float(X.x2) - (x * x + y * y) * float(X.x3)) / y
 
 
-def km_value(X: LatticeVector, tau, z, precision: int = 53) -> ComplexHP:
+def km_value(X: LatticeVector, tau, z, precision: int = 53) -> HP:
     """Scalar multiplying the invariant (1,1)-form in phi(X, tau, z):
 
         (v s^2 - 1/(2 pi)) e^{-pi v s^2 + pi v (X,X)} e^{2 pi i q(X) u}
@@ -134,13 +134,13 @@ def km_value(X: LatticeVector, tau, z, precision: int = 53) -> ComplexHP:
     with s = (X, X(z)), tau = u + iv.  Its modulus is
     (|v s^2 - 1/(2 pi)|) e^{-pi v majorant(X, z)}.
     """
-    tt = complex(tau.value) if isinstance(tau, ComplexHP) else complex(tau)
+    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
     u, v = tt.real, tt.imag
     if v <= 0:
         raise ValueError("Im tau > 0 required")
     p = precision + 16
     with mp.workprec(p):
-        zz = mp.mpc(z.value) if isinstance(z, ComplexHP) else mp.mpc(z)
+        zz = mp.mpc(z.value) if isinstance(z, HP) else mp.mpc(z)
         x, y = zz.real, zz.imag
         if y <= 0:
             raise ValueError("Im z > 0 required")
@@ -149,7 +149,7 @@ def km_value(X: LatticeVector, tau, z, precision: int = 53) -> ComplexHP:
         val = (v * s * s - 1 / (2 * mp.pi)) * mp.e ** (-mp.pi * v * s * s + mp.pi * v * nrm)
         qx = _frac_to_mpf(X.q())
         val = val * mp.e ** (2j * mp.pi * qx * u)
-    return ComplexHP(val, 64 * _ulp(abs(complex(val)) + 1e-300, precision), precision)
+    return HP(val, 64 * _ulp(abs(complex(val)) + 1e-300, precision), precision)
 
 
 def _frac_to_mpf(x):

@@ -18,7 +18,7 @@ from math import isqrt
 
 import mpmath as mp
 
-from .hp import ComplexHP, _ulp
+from .hp import HP, _ulp
 
 
 @dataclass(frozen=True, order=True)
@@ -53,12 +53,7 @@ class QuadForm:
 @dataclass(frozen=True)
 class CMPoint:
     form: QuadForm
-    alpha: ComplexHP  # (-b + i sqrt(D)) / (2a)
-
-    @property
-    def exact_triple(self):
-        # alpha = (-b + i sqrt(D)) / (2a)
-        return (-self.form.b, self.form.D, 2 * self.form.a)
+    alpha: HP  # (-b + i sqrt(D)) / (2a)
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,12 @@ def _T(n):
     return ((1, n), (0, 1))
 
 
+def _translate_b(a: int, b: int, c: int):
+    """(n, b', c') with [a, b', c'] = [a, b + 2na, Q(n, 1)] and b' in (-a, a]."""
+    n = -((b + a) // (2 * a))
+    return n, b + 2 * n * a, a * n * n + b * n + c
+
+
 def reduce_with_transform(Q: QuadForm):
     """Gauss reduction.  Returns (R, g) with g.Q = R reduced.
 
@@ -114,13 +115,9 @@ def reduce_with_transform(Q: QuadForm):
     g = _ID
     a, b, c = Q.a, Q.b, Q.c
     while True:
-        # translate b into (-a, a]; note T(n).[a,b,c] = [a, b-2an, ...],
-        # so realizing b -> b+2na takes T(-n)
+        # T(n).[a,b,c] = [a, b-2an, ...], so realizing b -> b+2na takes T(-n)
         if not (-a < b <= a):
-            n = -((b + a) // (2 * a))  # b + 2na in (-a, a]
-            b2 = b + 2 * n * a
-            c = a * n * n + b * n + c
-            b = b2
+            n, b, c = _translate_b(a, b, c)
             g = _mat_mul(_T(-n), g)
         if a > c:
             a, b, c = c, -b, a
@@ -308,7 +305,7 @@ def cm_point(Q: QuadForm, precision: int = 64) -> CMPoint:
         raise ValueError("precision below 32 bits not supported")
     with mp.workprec(precision + 10):
         alpha = mp.mpc(-Q.b, mp.sqrt(Q.D)) / (2 * Q.a)
-    val = ComplexHP(alpha, _ulp(abs(alpha), precision), precision)
+    val = HP(alpha, _ulp(abs(alpha), precision), precision)
     return CMPoint(Q, val)
 
 
@@ -416,12 +413,8 @@ def level_p_orbits(D: int, p: int):
             Qrep = apply_gl2(g, R)
             assert Qrep.a % p == 0
             # T-normalize b into (-a, a] for a deterministic representative
-            arep, brep, crep = Qrep.a, Qrep.b, Qrep.c
-            if not (-arep < brep <= arep):
-                n = -((brep + arep) // (2 * arep))
-                crep = arep * n * n + brep * n + crep
-                brep = brep + 2 * n * arep
-            Qrep = QuadForm(arep, brep, crep)
+            _, brep, crep = _translate_b(Qrep.a, Qrep.b, Qrep.c)
+            Qrep = QuadForm(Qrep.a, brep, crep)
             stab = w // len(orbit) if sig is not None else 1
             classes.append((Qrep, stab))
 

@@ -24,6 +24,13 @@ THETA_FIELDS = ["h", "tau", "f", "tol", "integral_re", "integral_im", "error_bou
 AVG_FIELDS = ["f", "value", "error_bound"]
 
 
+def trace_row(e) -> dict:
+    """The TRACE_FIELDS row of an analytic.TraceEntry."""
+    return {"D": e.D, "p": e.p, "f": e.f_label, "trace": e.value_rounded,
+            "residual": e.residual, "certified": e.certified,
+            "precision": e.precision}
+
+
 def rational_str(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

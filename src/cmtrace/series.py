@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf, isqrt
 
 
@@ -340,7 +341,10 @@ _EISEN_COEF = {
 }
 
 
+@lru_cache(maxsize=None)
 def _sigma(n: int, k: int) -> int:
+    """sum of d^k over the divisors d of n (memoized: the CM evaluation
+    asks for every n of every form)."""
     s = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -411,6 +415,11 @@ def t_series(trunc: int) -> QSeries:
 def faber_poly(m: int) -> list:
     """Coefficients [c_0, ..., c_m] (c_m = 1) of the monic polynomial in j
     with P(j) = q^-m + O(q)."""
+    return list(_faber_coeffs(m))
+
+
+@lru_cache(maxsize=None)
+def _faber_coeffs(m: int) -> tuple:
     if m < 1:
         raise ValueError("m >= 1")
     j = j_series(m + 2)
@@ -427,7 +436,7 @@ def faber_poly(m: int) -> list:
             P = P - gamma * powers[e]
     for e in range(0, m + 1):
         assert P.coeff(-e) == (1 if e == m else 0)
-    return coeffs
+    return tuple(coeffs)
 
 
 def faber(m: int, trunc: int) -> QSeries:

@@ -8,19 +8,19 @@ from math import cos, fsum, gcd, pi
 
 import mpmath as mp
 
-from .hp import RealHP, _ulp
+from .hp import HP, _ulp
 
 # per-term evaluation noise for a cos(2*pi*rational) in float64
 _COS_TERM_ERR = 5e-15
 
 
-def kloosterman(m: int, n: int, c: int) -> RealHP:
+def kloosterman(m: int, n: int, c: int) -> HP:
     """K(m,n,c) = sum over primitive residues d (mod c) of
     e((m*dbar + n*d)/c).  Real by the d -> -d symmetry."""
     if c < 1:
         raise ValueError("c >= 1")
     if c == 1:
-        return RealHP.exact(1, 53)
+        return HP(1, 0.0, 53)
     terms = []
     count = 0
     for d in range(1, c):
@@ -31,10 +31,10 @@ def kloosterman(m: int, n: int, c: int) -> RealHP:
         terms.append(cos(2.0 * pi * r / c))
         count += 1
     val = fsum(terms)
-    return RealHP(val, count * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
+    return HP(val, count * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
 
 
-def exp_sum_S(D: int, c: int) -> RealHP:
+def exp_sum_S(D: int, c: int) -> HP:
     """S(D,c) = sum over x (mod c) with x^2 = -D (mod c) of e(2x/c)."""
     if c < 1:
         raise ValueError("c >= 1")
@@ -44,10 +44,10 @@ def exp_sum_S(D: int, c: int) -> RealHP:
             r = (2 * x) % c
             terms.append(cos(2.0 * pi * r / c))
     val = fsum(terms)
-    return RealHP(val, len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
+    return HP(val, len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
 
 
-def bessel_i(nu, x, precision: int = 53) -> RealHP:
+def bessel_i(nu, x, precision: int = 53) -> HP:
     """Modified Bessel function of the first kind, certified.
 
     Power series for moderate arguments (all terms positive, so no
@@ -58,12 +58,12 @@ def bessel_i(nu, x, precision: int = 53) -> RealHP:
     if x < 0:
         raise ValueError("x >= 0")
     if x == 0:
-        return RealHP.exact(0 if nu > 0 else 1, precision)
+        return HP(0 if nu > 0 else 1, 0.0, precision)
     p = precision + 16
     if nu == 0.5:
         with mp.workprec(p):
             v = mp.sqrt(2 / (mp.pi * x)) * mp.sinh(x)
-        return RealHP(v, 8 * _ulp(abs(float(v)), p), precision)
+        return HP(v, 8 * _ulp(abs(float(v)), p), precision)
     if x > max(50.0, 4.0 * float(nu) * float(nu)):
         return _bessel_i_asymptotic(nu, x, precision)
     with mp.workprec(p):
@@ -82,10 +82,10 @@ def bessel_i(nu, x, precision: int = 53) -> RealHP:
                 break
         tail = float(term) * ratio / (1 - ratio)
         eb = tail + 4 * j * _ulp(float(total), p)
-    return RealHP(total, eb, precision)
+    return HP(total, eb, precision)
 
 
-def _bessel_i_asymptotic(nu, x, precision: int) -> RealHP:
+def _bessel_i_asymptotic(nu, x, precision: int) -> HP:
     # I_nu(x) ~ e^x/sqrt(2 pi x) * sum_k (-1)^k a_k(nu)/x^k,
     # a_k = prod_{i<k} (4nu^2-(2i+1)^2) / (k! 8^k); stop at the smallest
     # term, remainder bounded by it (terms alternate and decrease here)
@@ -106,7 +106,7 @@ def _bessel_i_asymptotic(nu, x, precision: int) -> RealHP:
             k += 1
         val = pref * total
         eb = float(pref) * abs(float(term)) + 8 * _ulp(abs(float(val)), p)
-    return RealHP(val, eb, precision)
+    return HP(val, eb, precision)
 
 
 def _poincare_tail_bound(k: int, m: int, n: int, C: int) -> float:
@@ -125,7 +125,7 @@ def _poincare_tail_bound(k: int, m: int, n: int, C: int) -> float:
 _POINCARE_C_CAP = 4000
 
 
-def poincare_coeff(k: int, m: int, n: int, c_max: int, precision: int = 53) -> RealHP:
+def poincare_coeff(k: int, m: int, n: int, c_max: int, precision: int = 53) -> HP:
     """Coefficient a(n) of the weight-k Poincare series q^{-m} + O(q):
 
         a(n) = 2 pi (-1)^{k/2} (n/m)^{(k-1)/2}
@@ -161,4 +161,4 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int, precision: int = 53) -> R
     pref = 2.0 * pi * (-1.0) ** (k // 2) * (n / m) ** ((k - 1) / 2.0)
     val = pref * s
     eb = abs(pref) * (errs + tail) + 4 * _ulp(abs(val), 53)
-    return RealHP(val, eb, 53)
+    return HP(val, eb, 53)

@@ -20,11 +20,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .analytic import _J_coeff_floats, _parse_fspec, beta_integral
-from .hp import ComplexHP, RealHP
+from .analytic import _f_grid_evaluator, beta_integral
+from .hp import HP
 from .lattice import LatticeSpec, LatticeVector
 from .qform import hurwitz
-from .series import QSeries, j_series
 
 _C = 1.0 / (2.0 * math.pi)
 
@@ -80,27 +79,11 @@ def _pick_threshold(v: float, qs, tol: float) -> float:
 _PERM = (1, 2, 0)  # local coords (m1, m2, m3) = (x2, x3, x1)
 
 
-def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float,
-                     x: float, y: float, tol: float):
-    """Coset sums of km over h + L at u = 0, grouped by q(X).
-
-    Returns (qq0, sums, tail): sums[i] multiplies e(q u) with
-    q = (qq0 + i)/4; tail is a certified bound on the dropped terms.
-    """
-    steps = [float(s) for s in spec.steps]
-    B = _majorant_gram(x, y, spec.steps)
-    Bp = B[np.ix_(_PERM, _PERM)]
-    q1, q2, q3, a12, a13, a23 = _cholesky3(Bp.tolist())
-    T = _pick_threshold(v, (q1, q2, q3), tol)
-    tail = _tail_bound(T, v, (q1, q2, q3))
-
-    # coset offset in local (integer-lattice) coordinates
-    hh = (float(h.x1), float(h.x2), float(h.x3))
-    c = [hh[_PERM[k]] / steps[_PERM[k]] for k in range(3)]
-    s1, s2, s3 = steps
-    zz = x * x + y * y
-
-    qq_parts, t_parts = [], []
+def _ellipsoid_rows(T: float, chol, c):
+    """Rows of the integer points n with M(n + c) <= T, M given by its
+    _cholesky3 factors: yields (n3, n2, m3, m2, lo, hi) with m = n + c, and
+    n1 running over lo..hi."""
+    q1, q2, q3, a12, a13, a23 = chol
     r3 = math.sqrt(T / q3)
     for n3 in range(math.ceil(-c[2] - r3), math.floor(-c[2] + r3) + 1):
         m3 = n3 + c[2]
@@ -117,23 +100,48 @@ def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float,
             r1 = math.sqrt(rem1 / q1)
             # center of the m1-interval: m1 = -(a12 m2 + a13 m3)
             ctr = -(a12 * m2 + a13 * m3) - c[0]
-            n1 = np.arange(math.ceil(ctr - r1), math.floor(ctr + r1) + 1.0)
-            if n1.size == 0:
-                continue
-            # back to lattice coordinates
-            x2v = (n1 + c[0]) * s2
-            x3v = m2 * s3
-            x1v = m3 * s1
-            s_ = (2 * x * x1v + x2v - zz * x3v) / y
-            qv = -x1v * x1v - x2v * x3v
-            M = s_ * s_ + 2 * x1v * x1v + 2 * x2v * x3v
-            keep = M <= T
-            if not keep.all():
-                s_, qv, M = s_[keep], qv[keep], M[keep]
-            if s_.size == 0:
-                continue
-            t_parts.append((v * s_ * s_ - _C) * np.exp(-math.pi * v * M))
-            qq_parts.append(np.rint(4.0 * qv).astype(np.int64))
+            yield n3, n2, m3, m2, math.ceil(ctr - r1), math.floor(ctr + r1)
+
+
+def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float,
+                     x: float, y: float, tol: float):
+    """Coset sums of km over h + L at u = 0, grouped by q(X).
+
+    Returns (qq0, sums, tail): sums[i] multiplies e(q u) with
+    q = (qq0 + i)/4; tail is a certified bound on the dropped terms.
+    """
+    steps = [float(s) for s in spec.steps]
+    B = _majorant_gram(x, y, spec.steps)
+    Bp = B[np.ix_(_PERM, _PERM)]
+    chol = _cholesky3(Bp.tolist())
+    T = _pick_threshold(v, chol[:3], tol)
+    tail = _tail_bound(T, v, chol[:3])
+
+    # coset offset in local (integer-lattice) coordinates
+    hh = (float(h.x1), float(h.x2), float(h.x3))
+    c = [hh[_PERM[k]] / steps[_PERM[k]] for k in range(3)]
+    s1, s2, s3 = steps
+    zz = x * x + y * y
+
+    qq_parts, t_parts = [], []
+    for _, _, m3, m2, lo, hi in _ellipsoid_rows(T, chol, c):
+        n1 = np.arange(lo, hi + 1.0)
+        if n1.size == 0:
+            continue
+        # back to lattice coordinates
+        x2v = (n1 + c[0]) * s2
+        x3v = m2 * s3
+        x1v = m3 * s1
+        s_ = (2 * x * x1v + x2v - zz * x3v) / y
+        qv = -x1v * x1v - x2v * x3v
+        M = s_ * s_ + 2 * x1v * x1v + 2 * x2v * x3v
+        keep = M <= T
+        if not keep.all():
+            s_, qv, M = s_[keep], qv[keep], M[keep]
+        if s_.size == 0:
+            continue
+        t_parts.append((v * s_ * s_ - _C) * np.exp(-math.pi * v * M))
+        qq_parts.append(np.rint(4.0 * qv).astype(np.int64))
 
     if not qq_parts:
         return 0, np.zeros(1), tail
@@ -154,7 +162,8 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
         x, y = xz.real, xz.imag
         B = _majorant_gram(float(x), float(y), spec.steps)
         Bp = B[np.ix_(_PERM, _PERM)]
-        q1, q2, q3, a12, a13, a23 = _cholesky3(Bp.tolist())
+        chol = _cholesky3(Bp.tolist())
+        q1, q2, q3 = chol[:3]
         # threshold from float bound, with slack for the float Gram
         T = _pick_threshold(float(v), (q1 * 0.98, q2 * 0.98, q3 * 0.98), tol)
         tail = _tail_bound(T, float(v) * 0.99, (q1 * 0.98, q2 * 0.98, q3 * 0.98))
@@ -169,34 +178,20 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
         abssum = mp.mpf(0)
         count = 0
         c = [float(hh[_PERM[k]] / steps[_PERM[k]]) for k in range(3)]
-        r3 = math.sqrt(T / q3)
-        for n3 in range(math.ceil(-c[2] - r3), math.floor(-c[2] + r3) + 1):
-            m3 = n3 + c[2]
-            rem2 = T - q3 * m3 * m3
-            if rem2 < 0:
-                continue
-            r2 = math.sqrt(rem2 / q2)
-            c2 = c[1] + a23 * m3
-            for n2 in range(math.ceil(-c2 - r2), math.floor(-c2 + r2) + 1):
-                m2 = n2 + c[1]
-                rem1 = rem2 - q2 * (m2 + a23 * m3) ** 2
-                if rem1 < 0:
-                    continue
-                r1 = math.sqrt(rem1 / q1)
-                ctr = -(a12 * m2 + a13 * m3) - c[0]
-                for n1 in range(math.ceil(ctr - r1), math.floor(ctr + r1) + 1):
-                    x2v = (n1 + hh[1] / steps[1]) * steps[1]
-                    x3v = (n2 + hh[2] / steps[2]) * steps[2]
-                    x1v = (n3 + hh[0] / steps[0]) * steps[0]
-                    s_ = (2 * x * x1v + x2v - zz * x3v) / y
-                    qx = -x1v * x1v - x2v * x3v
-                    M = s_ * s_ + 2 * x1v * x1v + 2 * x2v * x3v
-                    term = (v * s_ * s_ - c_) * mp.e ** (-mp.pi * v * M)
-                    if u:
-                        term = term * mp.e ** (two_pi_i * qx * u)
-                    total += term
-                    abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
-                    count += 1
+        for n3, n2, _, _, lo, hi in _ellipsoid_rows(T, chol, c):
+            for n1 in range(lo, hi + 1):
+                x2v = (n1 + hh[1] / steps[1]) * steps[1]
+                x3v = (n2 + hh[2] / steps[2]) * steps[2]
+                x1v = (n3 + hh[0] / steps[0]) * steps[0]
+                s_ = (2 * x * x1v + x2v - zz * x3v) / y
+                qx = -x1v * x1v - x2v * x3v
+                M = s_ * s_ + 2 * x1v * x1v + 2 * x2v * x3v
+                term = (v * s_ * s_ - c_) * mp.e ** (-mp.pi * v * M)
+                if u:
+                    term = term * mp.e ** (two_pi_i * qx * u)
+                total += term
+                abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
+                count += 1
         rnd = float(abssum) * (count + 8) * 2.0 ** (-(precision + 16) + 4)
     return total, tail + rnd
 
@@ -211,14 +206,14 @@ def _resolve_h(spec: LatticeSpec, h):
 
 
 def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
-                 precision: int = None) -> ComplexHP:
+                 precision: int = None) -> HP:
     """Sum of km_value over the dual coset h + L, with certified truncation
     error <= tol.  Float64 path for ordinary tolerances, mpmath otherwise."""
     if spec is None:
         spec = LatticeSpec.level4()
     hv = _resolve_h(spec, h)
-    tt = complex(tau.value) if isinstance(tau, ComplexHP) else complex(tau)
-    zz = complex(z.value) if isinstance(z, ComplexHP) else complex(z)
+    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
+    zz = complex(z.value) if isinstance(z, HP) else complex(z)
     if tt.imag <= 0 or zz.imag <= 0:
         raise ValueError("Im tau and Im z must be positive")
     if tol <= 0:
@@ -229,56 +224,15 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
         qq = (qq0 + np.arange(sums.size)) / 4.0
         val = complex(np.sum(sums * np.exp(2j * math.pi * qq * tt.real)))
         err = tail + 1e-14 * (float(np.abs(sums).sum()) + 1.0)
-        return ComplexHP(mp.mpc(val), err, 53)
+        return HP(mp.mpc(val), err, 53)
 
     prec = precision or max(64, int(-math.log2(tol)) + 48)
     val, err = _enumerate_sum_mp(spec, hv, tt, zz, tol, prec)
-    return ComplexHP(val, err, prec)
+    return HP(val, err, prec)
 
 
 # ---------------------------------------------------------------------------
 # the regularized pairing over the modular curve
-
-def _f_grid_evaluator(f_spec):
-    """(f_vals(x, y) -> complex ndarray, pole order n0, |leading|).
-
-    Accepts the constant "1" or polynomials in j with vanishing constant
-    term (checked exactly), as in the trace machinery.
-    """
-    label, coeffs, qexp, deg = _parse_fspec(f_spec)
-    if qexp is not None:
-        raise ValueError("theta integration wants '1' or a polynomial in j")
-    if deg == 0:
-        cst = float(coeffs[0])
-
-        def f_const(x, y):
-            return np.full_like(np.asarray(x, dtype=float), cst) + 0j
-
-        return f_const, 0, abs(cst)
-
-    js = j_series(deg + 2)
-    fs = QSeries({0: coeffs[-1]}, deg + 2)
-    for c in reversed(coeffs[:-1]):
-        fs = fs * js + QSeries({0: c}, deg + 2)
-    if fs.coeff(0) != 0:
-        raise ValueError("input must have vanishing constant term (or be constant 1)")
-
-    fc = [float(c) for c in coeffs]
-    jc = [float(c) for c in _J_coeff_floats(28)]
-
-    def f_vals(x, y):
-        q = np.exp(2j * np.pi * (np.asarray(x) + 1j * np.asarray(y)))
-        tail = np.zeros_like(q)
-        for c in reversed(jc):
-            tail = (tail + c) * q
-        jv = 1.0 / q + 744.0 + tail
-        out = np.zeros_like(q)
-        for c in reversed(fc):
-            out = out * jv + c
-        return out
-
-    return f_vals, deg, abs(fc[-1])
-
 
 def _strip_bound(Y: float, v: float, n0: int, alead: float) -> float:
     # x-integrated kernel modes are O(y^3 e^{-pi y^2 / v}); they pair with
@@ -361,22 +315,22 @@ def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us, spec):
 
 
 def theta_integral(h, tau, f_spec, tol: float = 1e-4,
-                   spec: LatticeSpec = None) -> ComplexHP:
+                   spec: LatticeSpec = None) -> HP:
     """Regularized integral of f(z) theta_h(tau, z) over the modular curve
     (raw normalization: Fourier coefficients are twice the CM traces,
     the +-X pairs of the kernel both contributing)."""
     if spec is not None and spec.name != "level4":
         raise NotImplementedError("integration is wired for the level-4 lattice")
     spec = LatticeSpec.level4()
-    tt = complex(tau.value) if isinstance(tau, ComplexHP) else complex(tau)
+    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
     if tt.imag < 0.5:
         raise ValueError("Im tau >= 1/2 required by the truncation design")
     vals, err = _integral_profile(h, tt.imag, f_spec, tol, [tt.real], spec)
-    return ComplexHP(mp.mpc(complex(vals[0])), err, 53)
+    return HP(mp.mpc(complex(vals[0])), err, 53)
 
 
 def fourier_extract(h, m, v: float, f_spec, grid_size: int = 8,
-                    tol: float = 1e-3, spec: LatticeSpec = None) -> RealHP:
+                    tol: float = 1e-3, spec: LatticeSpec = None) -> HP:
     """Coefficient of e(m tau) in the trace-normalized lift component h,
     via a DFT over grid_size equispaced u values at height v.
 
@@ -413,13 +367,13 @@ def fourier_extract(h, m, v: float, f_spec, grid_size: int = 8,
                      - 2 * math.pi * grid_size * v)
     value = 0.5 * raw.real * amp
     bound = 0.5 * (err + abs(raw.imag)) * amp + alias
-    return RealHP(mp.mpf(value), bound, 53)
+    return HP(mp.mpf(value), bound, 53)
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein prediction for the lift of the constant
 
-def eisen_prediction(tau, tol: float = 1e-10) -> ComplexHP:
+def eisen_prediction(tau, tol: float = 1e-10) -> HP:
     """Closed form the averaged lift of the constant must match:
 
         P(sigma) = sum_D H(D) e(D sigma / 4)
@@ -427,7 +381,7 @@ def eisen_prediction(tau, tol: float = 1e-10) -> ComplexHP:
 
     with H the Hurwitz class numbers (H(0) = -1/12) and
     beta(s) = integral_1^infty t^{-3/2} e^{-s t} dt."""
-    tt = complex(tau.value) if isinstance(tau, ComplexHP) else complex(tau)
+    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
     v = tt.imag
     if v < 0.3:
         raise ValueError("Im tau >= 0.3 required")
@@ -461,5 +415,5 @@ def eisen_prediction(tau, tol: float = 1e-10) -> ComplexHP:
             total += pref * mp.mpf(b.value) * mp.e ** (-2j * mp.pi * N * N * sig / 4)
             err += float(pref) * b.error_bound
         err += 8 * math.exp(-math.pi * Nmax * Nmax * v / 2.0) * float(pref)
-        out = ComplexHP(total, err + 1e-16 * (1 + abs(complex(total))), 53)
+        out = HP(total, err + 1e-16 * (1 + abs(complex(total))), 53)
     return out

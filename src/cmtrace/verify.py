@@ -23,6 +23,7 @@ from .analytic import (
 )
 from .lattice import LatticeSpec, disc_form_of, negation_permutation, weil_rep
 from .qform import hurwitz, hurwitz_table, is_fundamental
+from .reports import TRACE_FIELDS, render_table, trace_row
 from .series import g_series, predicted_series, sigma1
 from .sums import poincare_coeff
 from .plusspace import plus_form
@@ -40,8 +41,9 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _admissible(lo, hi):
-    return [D for D in range(lo, hi + 1) if D % 4 in (0, 3)]
+def _admissible(lo: int, hi: int):
+    """Discriminants D in [max(lo, 3), hi] with D = 0, 3 (mod 4)."""
+    return [D for D in range(max(lo, 3), hi + 1) if D % 4 in (0, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +236,12 @@ def check_plusspace(trunc: int = 200) -> CheckResult:
 
 
 def check_determinism(threads: int = 4) -> CheckResult:
-    from .reports import TRACE_FIELDS, render_table
-
     ident = "trace tables are byte-identical across thread counts"
     t0 = time.time()
     Ds = _admissible(3, 120)
     texts = []
     for th in (1, threads):
-        rows = [{"D": e.D, "p": e.p, "f": e.f_label, "trace": e.value_rounded,
-                 "residual": e.residual, "certified": e.certified,
-                 "precision": e.precision}
-                for e in trace_table("J", Ds, threads=th)]
+        rows = [trace_row(e) for e in trace_table("J", Ds, threads=th)]
         texts.append(render_table(rows, TRACE_FIELDS, "json"))
     return CheckResult("determinism", ident, texts[0] == texts[1],
                        f"1 vs {threads} threads, {len(Ds)} rows", time.time() - t0)

@@ -1,0 +1,50 @@
+"""Golden CLI output: stdout of fixed commands is byte-identical to the
+committed files under tests/data/golden.
+
+Quadrature commands (theta, avg) are left out: their floats depend on the
+numpy version.  After a deliberate output change, regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cmtrace.cli import run
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+
+COMMANDS = {
+    "trace_J_3": ["trace", "--f", "J", "--D", "3"],
+    "trace_J_1003": ["trace", "--f", "J", "--D", "1003"],
+    "trace_J2_200": ["trace", "--f", "J2", "--D", "200"],
+    "forms_23": ["forms", "--D", "23"],
+    "classnum_3_100": ["classnum", "--range", "3:100"],
+    "series_g_50": ["series", "--name", "g", "--dmax", "50"],
+    "reduce_12_10_3": ["reduce", "--form", "12,10,3"],
+    "exactformula_3": ["exactformula", "--D", "3", "--cmax", "400"],
+    "poincare_4_1_2": ["poincare", "--k", "4", "--m", "1", "--n", "2", "--cmax", "300"],
+    "duke_500_600": ["duke", "--range", "500:600"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, capsys):
+    assert run(COMMANDS[name] + ["--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, argv in COMMANDS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(argv + ["--no-cache"])
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN_DIR / f"{name}.txt").write_text(buf.getvalue(), encoding="utf-8")

@@ -1,0 +1,55 @@
+"""The HP record: conversion at the declared precision, ulp charging,
+and bound validation."""
+
+import mpmath as mp
+import pytest
+
+from cmtrace.hp import HP, _ulp
+
+
+def test_real_rounded_to_prec_and_charged_one_ulp():
+    with mp.workprec(300):
+        x = mp.mpf(1) / 3
+    r = HP(x, 0.0, 64)
+    with mp.workprec(64):
+        want = mp.mpf(x)
+    assert isinstance(r.value, mp.mpf)
+    assert r.value == want and r.value != x
+    assert r.prec == 64
+    assert r.error_bound == _ulp(abs(float(r.value)), 64)
+
+
+def test_exact_real_not_charged():
+    r = HP(2, 0.0, 53)
+    assert r.value == 2 and r.error_bound == 0.0
+
+
+def test_conversion_ignores_ambient_precision():
+    with mp.workprec(300):
+        x = mp.mpf(1) / 3
+    with mp.workprec(30):
+        r = HP(x, 0.0, 300)
+    assert r.value == x and r.error_bound == 0.0
+
+
+def test_complex_at_prec_stored_unchanged():
+    z = mp.mpc(1.5, -0.25)
+    r = HP(z, 0.25, 64)
+    assert isinstance(r.value, mp.mpc)
+    assert r.value._mpc_ == z._mpc_ and r.error_bound == 0.25
+
+
+def test_complex_rounded_to_prec_and_charged_one_ulp():
+    with mp.workprec(300):
+        z = mp.mpc(1, 2) / 3
+    r = HP(z, 0.0, 64)
+    with mp.workprec(64):
+        want = mp.mpc(z)
+    assert isinstance(r.value, mp.mpc)
+    assert r.value._mpc_ == want._mpc_ and r.value != z
+    assert r.error_bound == _ulp(float(abs(r.value)), 64)
+
+
+def test_negative_bound_raises():
+    with pytest.raises(ValueError):
+        HP(mp.mpf(1), -1e-9, 64)
