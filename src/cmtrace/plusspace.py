@@ -16,6 +16,7 @@ and then verify the support condition through the requested order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .series import QSeries, t_series, theta_series
 
@@ -24,15 +25,26 @@ class PlusSpaceRankError(Exception):
     pass
 
 
+def _int_row(row) -> list:
+    """A row of Fractions scaled to coprime integers (same solutions)."""
+    d = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (d // x.denominator) for x in row]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
 def _solve_exact(rows, rhs, n_unknowns):
-    """Gaussian elimination over Q.
+    """Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays
+    an integer minor of the scaled system, so each division by the previous
+    pivot is exact.
 
     Returns (solution, None) when the system has a unique solution,
     (None, reason) otherwise.
     """
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    aug = [_int_row(list(r) + [v]) for r, v in zip(rows, rhs)]
     pivots = []
     r = 0
+    prev = 1
     for c in range(n_unknowns):
         piv = None
         for i in range(r, len(aug)):
@@ -42,12 +54,12 @@ def _solve_exact(rows, rhs, n_unknowns):
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
+        row, p = aug[r], aug[r][c]
         for i in range(len(aug)):
-            if i != r and aug[i][c]:
+            if i != r:
                 f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], row)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(aug):
@@ -59,7 +71,7 @@ def _solve_exact(rows, rhs, n_unknowns):
         return None, f"rank {len(pivots)} < {n_unknowns} unknowns"
     x = [Fraction(0)] * n_unknowns
     for i, c in enumerate(pivots):
-        x[c] = aug[i][n_unknowns]
+        x[c] = Fraction(aug[i][n_unknowns], aug[i][c])
     return x, None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, lcm
 
 
 class TruncationError(Exception):
@@ -169,13 +169,16 @@ class QSeries:
             inf if t1 is inf else t1 + vb,
             inf if t2 is inf else t2 + va,
         )
-        out = {}
-        for n1, c1 in a.items():
-            for n2, c2 in b.items():
-                n = n1 + n2
-                if n < t:
-                    out[n] = out.get(n, Fraction(0)) + c1 * c2
-        return QSeries(out, t, L)
+        if not a or not b:
+            return QSeries({}, t, L)
+        # one grid for both factors: valuation + step * k in units of q^(1/L)
+        step = gcd(_step(a), _step(b)) or 1
+        n = inf if t is inf else -(-(t - va - vb) // step)  # product slots below t
+        da, xa = _dense(a, va, step, n)
+        db, xb = _dense(b, vb, step, n)
+        prod = _kmul(xa, xb, min(n, len(xa) + len(xb) - 1))
+        d = da * db
+        return QSeries({va + vb + step * k: Fraction(c, d) for k, c in enumerate(prod) if c}, t, L)
 
     __rmul__ = __mul__
 
@@ -184,19 +187,18 @@ class QSeries:
             raise ZeroDivisionError("series has no known nonzero coefficient")
         if self.trunc is inf:
             raise TruncationError("reciprocal of an exact series needs with_trunc() first")
+        # self = q^v C(x) / d with x = q^(step/denom), C an integer series
+        # and c0 = C(0); then 1/C(x) = E(x/c0) / c0 with the integer series
+        # E = 1 / (1 + sum_{i>0} c_i c0^(i-1) y^i)
         v = min(self.terms)
-        b0 = self.terms[v]
         K = self.trunc - v  # number of known slots above the valuation
-        r = [Fraction(0)] * K
-        r[0] = 1 / b0
-        for k in range(1, K):
-            s = Fraction(0)
-            for i in range(k):
-                bc = self.terms.get(v + k - i)
-                if bc is not None and r[i]:
-                    s += r[i] * bc
-            r[k] = -s / b0
-        terms = {-v + k: r[k] for k in range(K) if r[k]}
+        step = _step(self.terms) or K
+        n = -(-K // step)
+        d, c = _dense(self.terms, v, step, n)
+        c0 = c[0]
+        f = [1] + [ci * c0 ** i for i, ci in enumerate(c[1:])]
+        E = _kinv(f, n)
+        terms = {-v + step * k: Fraction(d * e, c0 ** (k + 1)) for k, e in enumerate(E) if e}
         return QSeries(terms, self.trunc - 2 * v, self.denom)
 
     def __truediv__(self, other):
@@ -254,14 +256,13 @@ class QSeries:
         return True
 
     def __eq__(self, other):
+        """Same truncation order and the same coefficients, on any grid."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        s, o = self.normalized(), other.normalized()
-        return s.denom == o.denom and s.trunc == o.trunc and s.terms == o.terms
+        return self.truncation_order == other.truncation_order and self.items() == other.items()
 
     def __hash__(self):
-        s = self.normalized()
-        return hash((s.denom, s.trunc, tuple(sorted(s.terms.items()))))
+        return hash((self.truncation_order, tuple(self.items())))
 
     def __repr__(self):
         parts = []
@@ -307,6 +308,62 @@ class QSeries:
     @classmethod
     def loads(cls, s: str) -> "QSeries":
         return cls.from_json_dict(json.loads(s))
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: a series is handed to them as a list of integer
+# coefficients on an arithmetic grid of exponents, over one denominator
+
+def _step(terms: dict) -> int:
+    """gcd of the exponent gaps (0 for a single term)."""
+    v = min(terms)
+    return gcd(*(n - v for n in terms))
+
+
+def _dense(terms: dict, v: int, step: int, size) -> tuple:
+    """(d, xs) with xs[k] = d * terms[v + step * k] for k < size."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    xs = [0] * min(size, (max(terms) - v) // step + 1)
+    for n, c in terms.items():
+        k = (n - v) // step
+        if k < len(xs):
+            xs[k] = c.numerator * (d // c.denominator)
+    return d, xs
+
+
+def _bias(n: int, w: int) -> int:
+    """2^(8w - 1) in each of n slots of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _kmul(a: list, b: list, n: int) -> list:
+    """First n coefficients of the product of two integer polynomials, by
+    Kronecker substitution: each signed list is packed into one integer
+    with slots wide enough that no product coefficient overflows its slot."""
+    a, b = a[:n], b[:n]
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    w = -(-bits // 8)
+    half = 1 << (8 * w - 1)
+
+    def pack(xs):
+        raw = b"".join((x + half).to_bytes(w, "little") for x in xs)
+        return int.from_bytes(raw, "little") - _bias(len(xs), w)
+
+    low = (pack(a) * pack(b) + _bias(n, w)) & ((1 << (8 * w * n)) - 1)  # slots 0..n-1
+    raw = low.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _kinv(f: list, n: int) -> list:
+    """First n coefficients of 1/f for an integer series with f[0] == 1, by
+    Newton iteration y <- y - y (f y - 1), doubling the precision each step."""
+    y = [1]
+    while len(y) < n:
+        m, k = len(y), min(2 * len(y), n)
+        err = _kmul(f[:k], y, k)[m:]  # f y = 1 + x^m err
+        y += [-c for c in _kmul(y, err, k - m)]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmtrace.plusspace import PlusSpaceRankError, plus_form
+from cmtrace.plusspace import PlusSpaceRankError, _solve_exact, plus_form
 from cmtrace.series import g_series
 
 
@@ -74,3 +76,56 @@ def test_rational_principal_part():
     g = g_series(20)
     assert f.coeff(0) == 1
     assert f.coeff(3) == g.coeff(3) / 2
+
+
+def _naive_solve(rows, rhs, n):
+    """Gauss-Jordan over Q in Fractions: the reference for _solve_exact."""
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivots, r = [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(aug):
+            break
+    if any(aug[i][n] for i in range(r, len(aug))):
+        return None, "inconsistent"
+    if len(pivots) < n:
+        return None, f"rank {len(pivots)} < {n} unknowns"
+    x = [F(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return x, None
+
+
+@st.composite
+def _systems(draw):
+    """A rational system B C x = rhs of prescribed rank, so unique,
+    rank-deficient and inconsistent systems all come up."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(m, n)))
+    frac = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    B = draw(st.lists(st.lists(frac, min_size=rank, max_size=rank), min_size=m, max_size=m))
+    C = draw(st.lists(st.lists(frac, min_size=n, max_size=n), min_size=rank, max_size=rank))
+    rows = [[sum((B[i][k] * C[k][j] for k in range(rank)), F(0)) for j in range(n)]
+            for i in range(m)]
+    rhs = draw(st.lists(frac, min_size=m, max_size=m))
+    if draw(st.booleans()):  # a consistent right-hand side
+        x = draw(st.lists(frac, min_size=n, max_size=n))
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    return rows, rhs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_systems())
+def test_fraction_free_solve_matches_reference(system):
+    rows, rhs, n = system
+    assert _solve_exact(rows, rhs, n) == _naive_solve(rows, rhs, n)

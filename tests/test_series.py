@@ -1,6 +1,7 @@
 """q-series engine: frozen expansions, exact identities, ring axioms."""
 
 from fractions import Fraction as F
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings
@@ -178,20 +179,52 @@ def test_json_roundtrip():
         assert QSeries.loads(s.dumps()) == s
 
 
-small_series = st.builds(
-    lambda d: QSeries({n: F(c) for n, c in d.items()}, 12, 1),
-    st.dictionaries(st.integers(-4, 11), st.integers(-9, 9), max_size=6),
+def test_eq_compares_every_known_coefficient():
+    # both series are known below q^(5/2), so their q^2 coefficients (7 and
+    # 9) are known and differ; equality must not round the truncation off
+    a = QSeries({0: 1, 4: 7}, 5, 2)
+    assert a != QSeries({0: 1, 4: 9}, 5, 2)
+    assert QSeries({0: 1}, 5, 2) != QSeries({0: 1}, 4, 2)  # q^2 known in one only
+    # the same series written on a finer grid is equal, with equal hash
+    b = QSeries({0: 1, 12: 7}, 15, 6)
+    assert a == b and hash(a) == hash(b)
+    assert QSeries.exact({0: 1}) != QSeries.one().with_trunc(3)
+
+
+@st.composite
+def _rational_series(draw):
+    """Rational coefficients on a gapped grid q^(step*k/denom) starting at a
+    possibly negative valuation, with a finite or infinite truncation."""
+    denom = draw(st.sampled_from([1, 2, 3, 4, 24]))
+    step = draw(st.sampled_from([1, 2, 3, 5]))
+    lo = draw(st.integers(-2 * denom, denom))
+    coeffs = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7]))
+    terms = draw(st.dictionaries(st.integers(0, 6), coeffs, max_size=6))
+    trunc = draw(st.one_of(st.none(), st.integers(1, 2 * denom)))
+    trunc = inf if trunc is None else lo + 7 * step + trunc
+    return QSeries({lo + step * k: c for k, c in terms.items()}, trunc, denom)
+
+
+small_series = st.one_of(
+    st.builds(
+        lambda d: QSeries({n: F(c) for n, c in d.items()}, 12, 1),
+        st.dictionaries(st.integers(-4, 11), st.integers(-9, 9), max_size=6),
+    ),
+    _rational_series(),
 )
+
+
+def _agree(x, y):
+    """x and y agree wherever both are known."""
+    bound = min(x.truncation_order, y.truncation_order)
+    return x == y if bound is inf else x.eq_through(y, bound)
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=small_series, b=small_series, c=small_series)
 def test_ring_axioms(a, b, c):
-    lhs = (a + b) * c
-    rhs = a * c + b * c
-    bound = min(lhs.truncation_order, rhs.truncation_order)
-    assert lhs.eq_through(rhs, bound)
-    assert (a * b).eq_through(b * a, (a * b).truncation_order)
+    assert _agree((a + b) * c, a * c + b * c)
+    assert _agree(a * b, b * a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,6 +243,48 @@ def test_scale_q_is_multiplicative(a, k):
     lhs = (a * b).scale_q(k)
     rhs = a.scale_q(k) * b.scale_q(k)
     assert lhs.eq_through(rhs, min(lhs.truncation_order, rhs.truncation_order))
+
+
+# naive dict-convolution reference for the integer kernels
+
+
+def _naive_mul(x, y):
+    L = x.denom * y.denom // gcd(x.denom, y.denom)
+    f1, f2 = L // x.denom, L // y.denom
+    t1 = inf if x.trunc is inf else x.trunc * f1
+    t2 = inf if y.trunc is inf else y.trunc * f2
+    a = {n * f1: c for n, c in x.terms.items()}
+    b = {n * f2: c for n, c in y.terms.items()}
+    va = min(a) if a else (0 if t1 is inf else t1)
+    vb = min(b) if b else (0 if t2 is inf else t2)
+    t = min(inf if t1 is inf else t1 + vb, inf if t2 is inf else t2 + va)
+    out = {}
+    for n1, c1 in a.items():
+        for n2, c2 in b.items():
+            if n1 + n2 < t:
+                out[n1 + n2] = out.get(n1 + n2, F(0)) + c1 * c2
+    return {n: c for n, c in out.items() if c}, t, L
+
+
+def _naive_reciprocal(x):
+    v = min(x.terms)
+    K = x.trunc - v
+    r = [F(0)] * K
+    r[0] = 1 / x.terms[v]
+    for k in range(1, K):
+        s = sum((r[i] * x.terms.get(v + k - i, 0) for i in range(k)), F(0))
+        r[k] = -s / x.terms[v]
+    return {-v + k: r[k] for k in range(K) if r[k]}, x.trunc - 2 * v, x.denom
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=small_series, b=small_series)
+def test_kernels_match_naive_reference(a, b):
+    p = a * b
+    assert (p.terms, p.trunc, p.denom) == _naive_mul(a, b)
+    if a.terms and a.trunc is not inf:
+        r = a.reciprocal()
+        assert (r.terms, r.trunc, r.denom) == _naive_reciprocal(a)
 
 
 # ---------------------------------------------------------------------------
