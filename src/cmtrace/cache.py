@@ -71,7 +71,8 @@ class Cache:
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
-            if entry.get("version") != __version__ or "payload" not in entry:
+            if (not isinstance(entry, dict) or entry.get("version") != __version__
+                    or "payload" not in entry):
                 raise ValueError("stale or malformed entry")
             return entry["payload"]
         except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -115,12 +115,11 @@ def cmd_classnum(args, cache):
 
 def cmd_trace(args, cache):
     Ds = _resolve_Ds(args)
-    key = cache_key("trace", {"f": args.f, "Ds": Ds, "p": args.level},
-                    args.precision or "policy")
+    key = cache_key("trace", {"f": args.f, "Ds": Ds}, args.precision or "policy")
     rows = cache.get(key)
     if rows is None:
         # Ds is sorted and distinct: this is trace_table at --precision
-        rows = [reports.trace_row(trace(args.f, D, args.level, args.precision))
+        rows = [reports.trace_row(trace(args.f, D, precision=args.precision))
                 for D in Ds]
         cache.put(key, rows)
     code = 0 if all(r["certified"] for r in rows) else 3
@@ -180,7 +179,8 @@ def cmd_poincare(args, cache):
 def cmd_duke(args, cache):
     rows = []
     for D in _admissible(*args.range):
-        rows.append({"D": D, "statistic": float(duke_statistic(D).value),
+        r = duke_statistic(D, args.precision or 53)
+        rows.append({"D": D, "statistic": float(r.value),
                      "H": hurwitz(D), "fundamental": is_fundamental(D)})
     return reports.render_table(rows, reports.DUKE_FIELDS, args.format), 0
 
@@ -259,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI")
         if name == "trace":
             sp.add_argument("--f", type=_fspec_arg, default="J")
-            sp.add_argument("--level", type=int, default=1, metavar="p")
         if name == "exactformula":
             sp.add_argument("--cmax", type=int, default=None)
 

@@ -120,7 +120,12 @@ def plus_form(principal_part: dict, trunc: int) -> QSeries:
     P = -min(pp)
 
     depth = P + 4
-    t_solve = 40
+    # About t_solve / 2 support rows (n = 1, 2 mod 4).  Sized to the unknowns
+    # less the allowed pole exponents (e = 0, 3 mod 4), the first system is
+    # not rank-deficient by size, and the rows at the forbidden exponents
+    # are spare, so an unattainable principal part comes out inconsistent.
+    allowed = sum(1 for e in range(-P, 0) if e % 4 in (0, 3))
+    t_solve = max(40, 2 * ((P + 1) + 2 * depth - allowed))
     last_reason = ""
     for _ in range(5):
         n_unknowns = (P + 1) + 2 * depth

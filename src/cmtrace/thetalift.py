@@ -44,9 +44,15 @@ def _majorant_gram(x: float, y: float, steps) -> np.ndarray:
     return D @ A @ D
 
 
-def _cholesky3(B):
-    """B = L^T diag(q) L with unit upper-triangular L; returns
-    (q1, q2, q3, a12, a13, a23)."""
+# permutation: enumerate x1 outer, x3 middle, x2 inner (x2 has the widest
+# range in the fundamental domain, so it gets the innermost axis)
+_PERM = (1, 2, 0)  # local coords (m1, m2, m3) = (x2, x3, x1)
+
+
+def _local_cholesky(x: float, y: float, steps):
+    """The majorant Gram in the local coordinates _PERM as L^T diag(q) L,
+    L unit upper-triangular; returns (q1, q2, q3, a12, a13, a23)."""
+    B = _majorant_gram(x, y, steps)[np.ix_(_PERM, _PERM)].tolist()
     q1 = B[0][0]
     a12 = B[0][1] / q1
     a13 = B[0][2] / q1
@@ -74,82 +80,68 @@ def _pick_threshold(v: float, qs, tol: float) -> float:
     raise RuntimeError("tail threshold search failed")
 
 
-# permutation: enumerate x1 outer, x3 middle, x2 inner (x2 has the widest
-# range in the fundamental domain, so it gets the vectorized axis)
-_PERM = (1, 2, 0)  # local coords (m1, m2, m3) = (x2, x3, x1)
+def _rows(rem, ctr, q):
+    """Row index and n of every integer n with q (n - ctr)^2 <= rem, row
+    after row (rows with rem < 0 are empty), as int64 arrays."""
+    ok = np.flatnonzero(rem >= 0)
+    r = np.sqrt(rem[ok] / q)
+    lo = np.ceil(ctr[ok] - r).astype(np.int64)
+    counts = np.floor(ctr[ok] + r).astype(np.int64) - lo + 1
+    row = np.repeat(np.arange(ok.size), counts)
+    # each row's first integer, shifted back by the row's start in the output
+    return ok[row], np.arange(row.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
-def _ellipsoid_rows(T: float, chol, c):
-    """Rows of the integer points n with M(n + c) <= T, M given by its
-    _cholesky3 factors: yields (n3, n2, m3, m2, lo, hi) with m = n + c, and
-    n1 running over lo..hi."""
+def _coset_points(spec: LatticeSpec, h: LatticeVector, T: float, chol):
+    """The points X of h + L with M(X) <= T, M given by its _local_cholesky
+    factors, ordered x1 outer, x3 middle, x2 inner.  Returns int64 indices
+    (k1, k2, k3) and float64 coordinates (x1, x2, x3), x_i = (k_i + h_i/s_i) s_i.
+    The row bounds are rounded: a point on the edge may have M just above T."""
     q1, q2, q3, a12, a13, a23 = chol
-    r3 = math.sqrt(T / q3)
-    for n3 in range(math.ceil(-c[2] - r3), math.floor(-c[2] + r3) + 1):
-        m3 = n3 + c[2]
-        rem2 = T - q3 * m3 * m3
-        if rem2 < 0:
-            continue
-        r2 = math.sqrt(rem2 / q2)
-        c2 = c[1] + a23 * m3
-        for n2 in range(math.ceil(-c2 - r2), math.floor(-c2 + r2) + 1):
-            m2 = n2 + c[1]
-            rem1 = rem2 - q2 * (m2 + a23 * m3) ** 2
-            if rem1 < 0:
-                continue
-            r1 = math.sqrt(rem1 / q1)
-            # center of the m1-interval: m1 = -(a12 m2 + a13 m3)
-            ctr = -(a12 * m2 + a13 * m3) - c[0]
-            yield n3, n2, m3, m2, math.ceil(ctr - r1), math.floor(ctr + r1)
+    steps = [float(s) for s in spec.steps]
+    off = [float(hx) / s for hx, s in zip((h.x1, h.x2, h.x3), steps)]
+    c1, c2, c3 = (off[k] for k in _PERM)  # local coordinates m = n + c
+
+    _, n3 = _rows(np.array([T]), np.array([-c3]), q3)
+    m3 = n3 + c3
+    rem2 = T - q3 * m3 * m3
+    i3, n2 = _rows(rem2, -(c2 + a23 * m3), q2)
+    m3, m2 = m3[i3], n2 + c2
+    rem1 = rem2[i3] - q2 * (m2 + a23 * m3) ** 2
+    i2, n1 = _rows(rem1, -(a12 * m2 + a13 * m3) - c1, q1)
+
+    k = (n3[i3[i2]], n1, n2[i2])
+    return k, tuple((kk + o) * s for kk, o, s in zip(k, off, steps))
+
+
+def _s_q_majorant(x, y, x1, x2, x3):
+    """s = (X, X(z)), q(X) and the majorant M = s^2 - 2 q(X) at z = x + iy,
+    by the same operations on float64 arrays and on mpf scalars."""
+    s = (2 * x * x1 + x2 - (x * x + y * y) * x3) / y
+    return s, -x1 * x1 - x2 * x3, s * s + 2 * x1 * x1 + 2 * x2 * x3
 
 
 def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float,
                      x: float, y: float, tol: float):
     """Coset sums of km over h + L at u = 0, grouped by q(X).
 
-    Returns (qq0, sums, tail): sums[i] multiplies e(q u) with
-    q = (qq0 + i)/4; tail is a certified bound on the dropped terms.
+    Returns (q, sums, tail): sums[i] multiplies e(q[i] u), q running over
+    a grid of step 1/4; tail is a certified bound on the dropped terms.
     """
-    steps = [float(s) for s in spec.steps]
-    B = _majorant_gram(x, y, spec.steps)
-    Bp = B[np.ix_(_PERM, _PERM)]
-    chol = _cholesky3(Bp.tolist())
+    chol = _local_cholesky(x, y, spec.steps)
     T = _pick_threshold(v, chol[:3], tol)
     tail = _tail_bound(T, v, chol[:3])
 
-    # coset offset in local (integer-lattice) coordinates
-    hh = (float(h.x1), float(h.x2), float(h.x3))
-    c = [hh[_PERM[k]] / steps[_PERM[k]] for k in range(3)]
-    s1, s2, s3 = steps
-    zz = x * x + y * y
-
-    qq_parts, t_parts = [], []
-    for _, _, m3, m2, lo, hi in _ellipsoid_rows(T, chol, c):
-        n1 = np.arange(lo, hi + 1.0)
-        if n1.size == 0:
-            continue
-        # back to lattice coordinates
-        x2v = (n1 + c[0]) * s2
-        x3v = m2 * s3
-        x1v = m3 * s1
-        s_ = (2 * x * x1v + x2v - zz * x3v) / y
-        qv = -x1v * x1v - x2v * x3v
-        M = s_ * s_ + 2 * x1v * x1v + 2 * x2v * x3v
-        keep = M <= T
-        if not keep.all():
-            s_, qv, M = s_[keep], qv[keep], M[keep]
-        if s_.size == 0:
-            continue
-        t_parts.append((v * s_ * s_ - _C) * np.exp(-math.pi * v * M))
-        qq_parts.append(np.rint(4.0 * qv).astype(np.int64))
-
-    if not qq_parts:
-        return 0, np.zeros(1), tail
-    qq = np.concatenate(qq_parts)
-    tv = np.concatenate(t_parts)
+    s_, qv, M = _s_q_majorant(x, y, *_coset_points(spec, h, T, chol)[1])
+    keep = M <= T
+    if not keep.any():
+        return np.zeros(1), np.zeros(1), tail
+    s_, qv, M = s_[keep], qv[keep], M[keep]
+    tv = (v * s_ * s_ - _C) * np.exp(-math.pi * v * M)
+    qq = np.rint(4.0 * qv).astype(np.int64)
     qq0 = int(qq.min())
     sums = np.bincount(qq - qq0, weights=tv)
-    return qq0, sums, tail
+    return (qq0 + np.arange(sums.size)) / 4.0, sums, tail
 
 
 def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
@@ -158,41 +150,31 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
     returns (value mpc, certified error bound float)."""
     with mp.workprec(precision + 16):
         u, v = mp.mpf(tau.real), mp.mpf(tau.imag)
-        xz = mp.mpc(z)
-        x, y = xz.real, xz.imag
-        B = _majorant_gram(float(x), float(y), spec.steps)
-        Bp = B[np.ix_(_PERM, _PERM)]
-        chol = _cholesky3(Bp.tolist())
-        q1, q2, q3 = chol[:3]
+        x, y = mp.mpf(z.real), mp.mpf(z.imag)
+        chol = _local_cholesky(float(x), float(y), spec.steps)
         # threshold from float bound, with slack for the float Gram
-        T = _pick_threshold(float(v), (q1 * 0.98, q2 * 0.98, q3 * 0.98), tol)
-        tail = _tail_bound(T, float(v) * 0.99, (q1 * 0.98, q2 * 0.98, q3 * 0.98))
+        qs = [q * 0.98 for q in chol[:3]]
+        T = _pick_threshold(float(v), qs, tol)
+        tail = _tail_bound(T, float(v) * 0.99, qs)
 
+        # coordinates from the integer indices, at the working precision
         steps = [mp.mpf(float(s)) for s in spec.steps]
-        hh = (mp.mpf(float(h.x1)), mp.mpf(float(h.x2)), mp.mpf(float(h.x3)))
-        zz = x * x + y * y
+        off = [mp.mpf(float(hx)) / s for hx, s in zip((h.x1, h.x2, h.x3), steps)]
         two_pi_i = 2j * mp.pi
         c_ = 1 / (2 * mp.pi)
 
         total = mp.mpc(0)
         abssum = mp.mpf(0)
-        count = 0
-        c = [float(hh[_PERM[k]] / steps[_PERM[k]]) for k in range(3)]
-        for n3, n2, _, _, lo, hi in _ellipsoid_rows(T, chol, c):
-            for n1 in range(lo, hi + 1):
-                x2v = (n1 + hh[1] / steps[1]) * steps[1]
-                x3v = (n2 + hh[2] / steps[2]) * steps[2]
-                x1v = (n3 + hh[0] / steps[0]) * steps[0]
-                s_ = (2 * x * x1v + x2v - zz * x3v) / y
-                qx = -x1v * x1v - x2v * x3v
-                M = s_ * s_ + 2 * x1v * x1v + 2 * x2v * x3v
-                term = (v * s_ * s_ - c_) * mp.e ** (-mp.pi * v * M)
-                if u:
-                    term = term * mp.e ** (two_pi_i * qx * u)
-                total += term
-                abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
-                count += 1
-        rnd = float(abssum) * (count + 8) * 2.0 ** (-(precision + 16) + 4)
+        k, _ = _coset_points(spec, h, T, chol)
+        for kk in zip(*(a.tolist() for a in k)):
+            X = [(n + o) * s for n, o, s in zip(kk, off, steps)]
+            s_, qx, M = _s_q_majorant(x, y, *X)
+            term = (v * s_ * s_ - c_) * mp.e ** (-mp.pi * v * M)
+            if u:
+                term = term * mp.e ** (two_pi_i * qx * u)
+            total += term
+            abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
+        rnd = float(abssum) * (k[0].size + 8) * 2.0 ** (-(precision + 16) + 4)
     return total, tail + rnd
 
 
@@ -220,8 +202,7 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
         raise ValueError("tol > 0 required")
 
     if tol >= 1e-12 and precision is None:
-        qq0, sums, tail = _enumerate_qsums(spec, hv, tt.imag, zz.real, zz.imag, tol)
-        qq = (qq0 + np.arange(sums.size)) / 4.0
+        qq, sums, tail = _enumerate_qsums(spec, hv, tt.imag, zz.real, zz.imag, tol)
         val = complex(np.sum(sums * np.exp(2j * math.pi * qq * tt.real)))
         err = tail + 1e-14 * (float(np.abs(sums).sum()) + 1.0)
         return HP(mp.mpc(val), err, 53)
@@ -306,8 +287,7 @@ def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us, spec):
         for yj, wyj, fj in zip(ys, wys, fv):
             w = 2.0 * wxi * wyj / (yj * yj)  # fold + measure
             tol_node = tol * yj * yj / (40.0 * (1.0 + abs(fj.real)))
-            qq0, sums, tail = _enumerate_qsums(spec, hv, v, xi, yj, tol_node)
-            qq = (qq0 + np.arange(sums.size)) / 4.0
+            qq, sums, tail = _enumerate_qsums(spec, hv, v, xi, yj, tol_node)
             theta_js = np.exp(2j * math.pi * np.outer(us, qq)) @ sums
             out += w * fj.real * theta_js
             kerr += abs(w * fj.real) * tail

@@ -95,6 +95,14 @@ class TestSchemas:
         assert r503["fundamental"] is True and r503["H"] == "21"
         assert isinstance(r503["statistic"], float)
 
+    def test_duke_precision_selects_mp_route(self, capsys):
+        from cmtrace.analytic import duke_statistic
+
+        _, out = invoke(capsys, "duke", "--range", "103:103", "--precision", "120")
+        (row,) = rows_of(out)
+        assert row["statistic"] == float(duke_statistic(103, 120).value)
+        assert row["statistic"] != float(duke_statistic(103).value)
+
     def test_exactformula_echoes_cmax(self, capsys):
         _, out = invoke(capsys, "exactformula", "--D", "3", "--cmax", "100")
         (row,) = rows_of(out)
@@ -152,6 +160,15 @@ class TestCache:
             _, again = invoke(capsys, "classnum", "--range", "3:12")
         assert again == first
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"payload"', "null"])
+    def test_non_object_entry_recovers_with_warning(self, capsys, isolated_cache, text):
+        _, first = invoke(capsys, "classnum", "--range", "3:12")
+        for p in isolated_cache.glob("*.json"):
+            p.write_text(text)
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            _, again = invoke(capsys, "classnum", "--range", "3:12")
+        assert again == first
+
     def test_version_bump_invalidates(self, capsys, isolated_cache, monkeypatch):
         _, first = invoke(capsys, "classnum", "--range", "3:12")
         n_before = len(list(isolated_cache.glob("*.json")))
@@ -176,6 +193,7 @@ class TestExitCodes:
         ("reduce", "--form", "1,5,1"),
         ("trace", "--f", "J", "--D", "3", "--precision", "32"),
         ("trace", "--f", "J", "--D", "3", "--threads", "0"),
+        ("trace", "--f", "J", "--D", "3", "--level", "2"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2

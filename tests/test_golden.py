@@ -1,14 +1,17 @@
 """Golden CLI output: stdout of fixed commands is byte-identical to the
 committed files under tests/data/golden.
 
-Quadrature commands (theta, avg) are left out: their floats depend on the
-numpy version.  After a deliberate output change, regenerate with
+The quadrature commands (theta, avg) print floats that depend on the numpy
+version, so they are compared only under the numpy version recorded in
+numpy_version.txt there, and skipped under any other.  After a deliberate
+output change, regenerate every file (and that record) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmtrace.cli import run
@@ -27,11 +30,20 @@ COMMANDS = {
     "poincare_4_1_2": ["poincare", "--k", "4", "--m", "1", "--n", "2", "--cmax", "300"],
     "duke_500_600": ["duke", "--range", "500:600"],
 }
+QUADRATURE_COMMANDS = {
+    "theta_0_J": ["theta", "--h", "0", "--tau", "0.25+1.5j", "--f", "J", "--tol", "1e-4"],
+    "avg_J": ["avg", "--f", "J"],
+}
+NUMPY_VERSION = GOLDEN_DIR / "numpy_version.txt"
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(COMMANDS) + sorted(QUADRATURE_COMMANDS))
 def test_stdout_matches_golden(name, capsys):
-    assert run(COMMANDS[name] + ["--no-cache"]) == 0
+    if name in QUADRATURE_COMMANDS:
+        recorded = NUMPY_VERSION.read_text(encoding="utf-8").strip()
+        if np.__version__ != recorded:
+            pytest.skip(f"recorded under numpy {recorded}, installed {np.__version__}")
+    assert run({**COMMANDS, **QUADRATURE_COMMANDS}[name] + ["--no-cache"]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
@@ -41,7 +53,8 @@ if __name__ == "__main__":
     import io
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, argv in COMMANDS.items():
+    NUMPY_VERSION.write_text(np.__version__ + "\n", encoding="utf-8")
+    for name, argv in {**COMMANDS, **QUADRATURE_COMMANDS}.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run(argv + ["--no-cache"])

@@ -35,6 +35,23 @@ def test_pole_nine_lift():
         assert f.coeff(e) == 0
 
 
+def test_first_system_is_solved(monkeypatch):
+    # pole order 9 has 36 unknowns; the first system has more rows than
+    # that and is solved, so no seed family or solve is thrown away
+    import cmtrace.plusspace as ps
+
+    calls = []
+
+    def counted(rows, rhs, n):
+        calls.append((len(rows), n))
+        return _solve_exact(rows, rhs, n)
+
+    monkeypatch.setattr(ps, "_solve_exact", counted)
+    f = plus_form({-1: -1, -9: -3}, 40)
+    assert len(calls) == 1 and calls[0][0] > calls[0][1] == 36
+    assert f.coeff(0) == 8
+
+
 def test_support_condition_through_200():
     f = plus_form({-1: -1}, 200)
     for n in range(1, 200):

@@ -3,11 +3,16 @@ Eisenstein target for the constant lift."""
 
 import math
 
+import numpy as np
 import pytest
 
-from cmtrace.lattice import LatticeSpec
+from cmtrace.lattice import LatticeSpec, LatticeVector, pair, x_of_z
 from cmtrace.thetalift import (
+    _coset_points,
+    _enumerate_qsums,
     _integral_profile,
+    _local_cholesky,
+    _pick_threshold,
     _strip_cutoff,
     eisen_prediction,
     fourier_extract,
@@ -16,6 +21,75 @@ from cmtrace.thetalift import (
 )
 
 LEVEL4 = LatticeSpec.level4()
+
+
+def _brute_force(spec, h, x, y, T):
+    """Index triples (k1, k2, k3) of the points X = ((k_i + h_i/s_i) s_i) of
+    h + L with M(X) <= T, found in a bounding box, and their X and M."""
+    steps = np.array([float(s) for s in spec.steps])
+    off = np.array([float(h.x1), float(h.x2), float(h.x3)]) / steps
+
+    def M(x1, x2, x3):
+        X = LatticeVector(x1, x2, x3)
+        s = pair(X, x_of_z(complex(x, y)))
+        return s * s - X.norm()
+
+    # M(X) >= lam |k + off|^2, lam the least eigenvalue of M's Gram in k
+    e = np.eye(3) * steps
+    G = np.array([[(M(*(e[i] + e[j])) - M(*e[i]) - M(*e[j])) / 2 for j in range(3)]
+                  for i in range(3)])
+    R = math.sqrt(T / np.linalg.eigvalsh(G).min())
+    axes = [np.arange(math.floor(-o - R) - 1, math.ceil(-o + R) + 2) for o in off]
+    k = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+    X = [(kk + o) * s for kk, o, s in zip(k, off, steps)]
+    inside = M(*X) <= T
+    return [kk[inside] for kk in k], [xx[inside] for xx in X], M(*X)[inside]
+
+
+ENUM_CASES = [  # (spec, coset index, x, y, v, tol)
+    (LEVEL4, 0, 0.1, 1.1, 1.0, 1e-10),
+    (LEVEL4, 1, 0.45, 0.9, 0.5, 1e-6),
+    (LEVEL4, 1, 0.0, 2.5, 2.0, 1e-12),
+    (LatticeSpec.level4p(2), 37, 0.3, 1.3, 1.0, 1e-8),
+]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("spec, hi, x, y, v, tol", ENUM_CASES)
+    def test_points_match_brute_force(self, spec, hi, x, y, v, tol):
+        h = spec.cosets()[hi]
+        chol = _local_cholesky(x, y, spec.steps)
+        T = _pick_threshold(v, chol[:3], tol)
+        k, X = _coset_points(spec, h, T, chol)
+        got = list(zip(*(a.tolist() for a in k)))
+        want, _, _ = _brute_force(spec, h, x, y, T)
+        assert len(got) == len(set(got)) > 1
+        assert set(got) == set(zip(*(a.tolist() for a in want)))
+        # fixed order: x1 outer, x3 middle, x2 inner
+        assert got == sorted(got, key=lambda t: (t[0], t[2], t[1]))
+        steps = [float(s) for s in spec.steps]
+        hs = (float(h.x1), float(h.x2), float(h.x3))
+        for kk, xx, s, hx in zip(k, X, steps, hs):
+            assert np.allclose(xx, kk * s + hx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, hi, x, y, v, tol", ENUM_CASES)
+    def test_grouped_sums_match_brute_force(self, spec, hi, x, y, v, tol):
+        h = spec.cosets()[hi]
+        T = _pick_threshold(v, _local_cholesky(x, y, spec.steps)[:3], tol)
+        _, X, M = _brute_force(spec, h, x, y, T)
+        s = pair(LatticeVector(*X), x_of_z(complex(x, y)))
+        terms = (v * s * s - 1 / (2 * math.pi)) * np.exp(-math.pi * v * M)
+        qq = np.rint(4 * LatticeVector(*X).q()).astype(int)
+        ref, absref = {}, {}
+        for b, t in zip(qq.tolist(), terms.tolist()):
+            ref[b] = ref.get(b, 0.0) + t
+            absref[b] = absref.get(b, 0.0) + abs(t)
+
+        q, sums, _ = _enumerate_qsums(spec, h, v, x, y, tol)
+        got = dict(zip(np.rint(4 * q).astype(int).tolist(), sums.tolist()))
+        assert {b for b, t in got.items() if t} == {b for b, t in ref.items() if t}
+        for b, t in ref.items():
+            assert abs(got[b] - t) <= 1e-13 * absref[b]
 
 
 class TestKernel:
