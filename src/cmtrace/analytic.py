@@ -41,13 +41,17 @@ def _j_certified(tau, prec: int):
     """j(tau) = E4^3 / (q * P(q)^24) with P the Euler product, plus a
     certified absolute error bound.  Requires Im tau >= sqrt(3)/2 - eps."""
     pw = prec + 32
+    # Tails and stopping tests work with logarithms, and the relative error
+    # in units of 2^-prec: |q| and 2^-prec leave the float range at high
+    # precision (|q| < 2^-1074 once Im tau > 118).
+    lr = -2 * math.pi * float(tau.imag)  # ln|q|
+    cut = -(prec + 20) * _LN2  # ln 2^-(prec+20)
+    scale = prec * _LN2
     with mp.workprec(pw):
         q = mp.e ** (2j * mp.pi * tau)
-        r = abs(q)
-        if r > 0.006:  # e^{-pi sqrt 3} = 0.00433...
+        if abs(q) > 0.006:  # e^{-pi sqrt 3} = 0.00433...
             raise ValueError("evaluation point not reduced (Im tau too small)")
-        rf = float(r)
-        cut = mp.mpf(2) ** (-(prec + 20))
+        geo = 1 / (1 - math.exp(lr))  # sum of r^i over i >= 0
 
         # E4 = 1 + 240 sum sigma3(n) q^n
         e4 = mp.mpf(1)
@@ -58,33 +62,44 @@ def _j_certified(tau, prec: int):
             qn *= q
             s3 = _sigma(n, 3)
             e4 += 240 * s3 * qn
-            if 240 * _sigma3_cap(n + 1) * rf ** (n + 1) < float(cut):
+            if math.log(240 * _sigma3_cap(n + 1)) + (n + 1) * lr < cut:
                 break
         # geometric-ish tail: sum_{m>n} 240*1.21*m^3 r^m <= bound * C(r)
-        tail_e4 = 240 * _sigma3_cap(n + 1) * rf ** (n + 1) * 1.1 / (1 - rf)
+        tail_e4 = math.exp(math.log(240 * _sigma3_cap(n + 1) * 1.1 * geo) + (n + 1) * lr + scale)
 
-        # P(q) = prod (1-q^n) via pentagonal numbers
+        # P(q) = prod (1-q^n) = 1 + sum_k (-1)^k (q^e1 + q^e2) with the
+        # pentagonal e1 = k(3k-1)/2, e2 = e1 + k and e1(k+1) = e2 + 2k+1:
+        # the powers are stepped along by q^k and q^(2k+1)
         P = mp.mpf(1)
+        qk, q2 = q, q * q
+        q2k1 = q2 * q
+        qe1 = q
         k = 1
         while True:
-            e1 = k * (3 * k - 1) // 2
-            e2 = k * (3 * k + 1) // 2
+            qe2 = qe1 * qk
             sgn = -1 if k % 2 else 1
-            P += sgn * (q**e1 + q**e2)
+            P += sgn * (qe1 + qe2)
             k += 1
-            if rf ** (k * (3 * k - 1) // 2) < float(cut):
+            if k * (3 * k - 1) // 2 * lr < cut:
                 break
-        tail_P = 2 * rf ** (k * (3 * k - 1) // 2) / (1 - rf)
+            qe1 = qe2 * q2k1
+            qk *= q
+            q2k1 *= q2
+        tail_P = 2 * geo * math.exp(k * (3 * k - 1) // 2 * lr + scale)
 
         j = e4**3 / (q * P**24)
-        aj = abs(j)
-        # relative error: 3 parts E4, 24 parts P, and rounding headroom
+        aj = float(abs(j))
+        # relative error in units of 2^-prec: 3 parts E4, 24 parts P, and
+        # rounding headroom.  Each q^e leaves the chains above after e - 1
+        # products, so its rounding is at most (e-1)|q|^e relative to
+        # |P| > 0.99; the sum over e stays below one unit, and the 4 per k
+        # charged for the chain (one per product) cover it.
         rel = (
             3 * tail_e4 / max(float(abs(e4)), 0.5)
             + 24 * tail_P / max(float(abs(P)), 0.5)
-            + (n + 30) * 2.0 ** (-pw + 6)
+            + (n + 4 * k + 30) * 2.0 ** (prec - pw + 6)
         )
-        return HP(j, float(aj) * rel + _ulp(float(aj), prec), prec)
+        return HP(j, math.ldexp(aj * rel, -prec) + _ulp(aj, prec), prec)
 
 
 def _parse_fspec(f_spec):
@@ -129,6 +144,9 @@ def eval_modular(f_spec, tau, precision: int = 64) -> HP:
         for c in reversed(coeffs):
             err = err * aj + float(abs(acc)) * jv.error_bound + _ulp(float(abs(acc)) * aj + 1.0, precision)
             acc = acc * jv.value + mp.mpf(c.numerator) / c.denominator
+        # |j| past the float range: say inf outright, since 0 * inf above is nan
+        if math.isinf(jv.error_bound):
+            err = math.inf
         return HP(acc, err, precision)
 
 
@@ -172,6 +190,15 @@ class TraceEntry:
 _RESIDUAL_THRESHOLD = 1e-6
 
 
+def _form_precision(precision: int, D: int, degree: int, a: int) -> int:
+    """Bits for the reduced form with leading coefficient a in a trace run
+    at `precision`.  |f(alpha)| is about e^{degree*pi*sqrt(D)/a}, so at these
+    bits the form's absolute error stays 32 bits below the rounding step
+    of the a = 1 form, which keeps `precision`; never below 64 bits."""
+    drop = math.floor(degree * math.pi * math.sqrt(D) * (1 - 1 / a) / _LN2)
+    return min(precision, max(64, precision - drop + 32))
+
+
 def _alpha_of(form: QuadForm, prec: int):
     with mp.workprec(prec + 32):
         return mp.mpc(-form.b, mp.sqrt(form.D)) / (2 * form.a)
@@ -201,7 +228,12 @@ def _min_a_equivalent(rep: QuadForm, p: int) -> QuadForm:
 
 def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntry:
     """Sum of f(alpha_Q)/|stab Q| over the level-p orbit representatives of
-    discriminant -D, with certified rounding."""
+    discriminant -D, with certified rounding.
+
+    `precision` (default precision_for(D, deg)) is that of the a = 1 form
+    and is the one reported; for p = 1 each other form [a, b, c] runs at
+    the fewer bits of _form_precision.
+    """
     label, coeffs, qexp, deg = _parse_fspec(f_spec)
     if p > 1 and qexp is None:
         raise ValueError("level p > 1 requires f as an exact q-expansion")
@@ -223,7 +255,8 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
                     continue  # conjugate partner: contributes the same real part
                 w = stabilizer_order(F)
                 mult = 1 if (F.b == 0 or F.b == F.a or F.a == F.c) else 2
-                v = eval_modular(f_spec, _alpha_of(F, precision), precision)
+                pF = _form_precision(precision, D, deg, F.a)
+                v = eval_modular(f_spec, _alpha_of(F, pF), pF)
                 total += mult * v.value.real / w
                 err += mult * v.error_bound / w
     else:

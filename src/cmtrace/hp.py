@@ -8,13 +8,16 @@ before building the record.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
 
 def _ulp(mag: float, prec: int) -> float:
     # one rounding step at magnitude `mag`, plus a sub-denormal floor so
-    # bounds never come out exactly 0 for inexact operations
-    return mag * 2.0 ** (1 - prec) + 5e-324
+    # bounds never come out exactly 0 for inexact operations; ldexp, since
+    # 2.0 ** (1 - prec) underflows to 0 above 1075 bits
+    return math.ldexp(mag, 1 - prec) + 5e-324
 
 
 class HP:
@@ -32,7 +35,7 @@ class HP:
         if self.value != value:  # conversion rounded: charge one ulp
             mag = float(abs(self.value)) if is_complex else abs(float(self.value))
             self.error_bound += _ulp(mag or 1.0, self.prec)
-        if self.error_bound < 0:
+        if not self.error_bound >= 0:  # also rejects nan
             raise ValueError("error bound must be nonnegative")
 
     def __repr__(self):

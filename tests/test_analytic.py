@@ -6,13 +6,21 @@ integer traces reproduced independently by the exact eta-quotient series
 and the plus-space lifts, and closed forms for beta.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from cmtrace import analytic
 from cmtrace.analytic import (
+    _alpha_of,
+    _form_precision,
     asymptotic_residual,
     beta_integral,
     duke_statistic,
@@ -26,9 +34,10 @@ from cmtrace.analytic import (
     trace_table,
 )
 from cmtrace.qform import enumerate_reduced, hurwitz
-from cmtrace.series import QSeries, eta, g_series, t_series
+from cmtrace.series import QSeries, eta, faber_poly, g_series, t_series
 
 SQ3 = math.sqrt(3)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
     # singular moduli for class-number-one discriminants: (-b, D, value)
@@ -161,6 +170,73 @@ class TestLevelTraces:
     def test_level_requires_qexp(self):
         with pytest.raises(ValueError):
             trace("J", 23, p=2)
+
+
+class TestPerFormPrecision:
+    # every reduced form with b >= 0, the ones a p = 1 trace evaluates
+    @pytest.mark.parametrize("f, m, D", [("J", 1, 1003), ("J", 1, 43472), ("J2", 2, 10644)])
+    def test_values_within_bounds_against_kleinj(self, f, m, D):
+        # independent reference: mpmath's j = 1728 kleinj at the exact
+        # alpha, through the Faber polynomial, with 160 bits to spare
+        precision = precision_for(D, m)
+        coeffs = faber_poly(m)
+        forms = [F for F in enumerate_reduced(D) if F.b >= 0]
+        for F in forms:
+            pF = _form_precision(precision, D, m, F.a)
+            v = eval_modular(f, _alpha_of(F, pF), pF)
+            with mp.workprec(pF + 160):
+                j = 1728 * mp.kleinj(mp.mpc(-F.b, mp.sqrt(D)) / (2 * F.a))
+                ref = mp.mpc(0)
+                for c in reversed(coeffs):
+                    ref = ref * j + mp.mpf(c.numerator) / c.denominator
+                gap = abs(v.value - ref)
+            assert gap <= v.error_bound, (F, pF, float(gap), v.error_bound)
+
+    def test_trace_runs_forms_below_its_precision(self, monkeypatch):
+        D = 43472
+        precs = []
+        j_certified = analytic._j_certified
+
+        def spy(tau, prec):
+            precs.append(prec)
+            return j_certified(tau, prec)
+
+        monkeypatch.setattr(analytic, "_j_certified", spy)
+        e = trace("J", D)
+        assert e.certified
+        want = [_form_precision(e.precision, D, 1, F.a) for F in enumerate_reduced(D) if F.b >= 0]
+        assert precs == want
+        assert max(precs) == e.precision  # the a = 1 form
+        assert min(precs) < e.precision
+
+
+def _run_isolated(argv):
+    # a fresh interpreter with a deadline: these inputs used to hang
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=30, env=env)
+
+
+class TestHighPrecision:
+    # past ~1054 bits 2^-(prec+20) and past Im tau ~ 118 |q| underflow as
+    # floats; the stopping tests and bounds must not depend on either
+    @pytest.mark.parametrize("f, D", [("J", 48003), ("J2", 12003)])
+    def test_trace_certified_in_bounded_time(self, f, D):
+        code = f"from cmtrace.analytic import trace; e = trace({f!r}, {D}); print(e.certified, e.precision)"
+        out = _run_isolated(["-c", code])
+        assert out.returncode == 0, out.stderr
+        certified, prec = out.stdout.split()
+        assert certified == "True" and int(prec) > 1054
+
+    def test_radius_past_float_range_is_inf(self):
+        code = "from cmtrace.analytic import trace; print(trace('J', 60007).value_numeric.error_bound)"
+        out = _run_isolated(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "inf"
+
+    def test_cli_exits_3_past_float_range(self):
+        out = _run_isolated(["-m", "cmtrace.cli", "trace", "--f", "J", "--D", "60007", "--no-cache"])
+        assert out.returncode == 3, out.stderr
+        assert json.loads(out.stdout)["certified"] is False
 
 
 class TestExactFormula:

@@ -53,3 +53,11 @@ def test_complex_rounded_to_prec_and_charged_one_ulp():
 def test_negative_bound_raises():
     with pytest.raises(ValueError):
         HP(mp.mpf(1), -1e-9, 64)
+    with pytest.raises(ValueError):
+        HP(mp.mpf(1), float("nan"), 64)
+
+
+def test_ulp_past_1075_bits():
+    # 2.0 ** (1 - prec) is 0.0 here; the rounding step must not vanish
+    assert _ulp(2.0 ** 1000, 1100) == 2.0 ** -99 + 5e-324
+    assert _ulp(float("inf"), 1200) == float("inf")
