@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from .hp import HP, _ulp
-from .qform import QuadForm, enumerate_reduced, hurwitz, is_fundamental, level_p_orbits, stabilizer_order
+from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
 from .series import QSeries, _sigma, bigJ_series, faber_poly, j_series
 
 _LN2 = math.log(2.0)
@@ -89,23 +89,32 @@ def _j_certified(tau, prec: int):
 
         j = e4**3 / (q * P**24)
         aj = float(abs(j))
-        # relative error in units of 2^-prec: 3 parts E4, 24 parts P, and
+        ae4 = float(abs(e4))
+        aP = float(abs(P))
+        # E4 vanishes at rho (j = 0 there), so its error is absolute: the
+        # tail plus the rounding of n terms whose moduli sum below 3 (for
+        # |q| <= 0.006), in units of 2^-prec.  It reaches E4^3 as
+        # (|E4| + d)^3 - |E4|^3.
+        d4 = tail_e4 + 3 * (n + 8) * 2.0 ** (prec - pw + 6)
+        # the rest is relative, in units of 2^-prec: 24 parts P, and
         # rounding headroom.  Each q^e leaves the chains above after e - 1
         # products, so its rounding is at most (e-1)|q|^e relative to
         # |P| > 0.99; the sum over e stays below one unit, and the 4 per k
         # charged for the chain (one per product) cover it.
-        rel = (
-            3 * tail_e4 / max(float(abs(e4)), 0.5)
-            + 24 * tail_P / max(float(abs(P)), 0.5)
-            + (n + 4 * k + 30) * 2.0 ** (prec - pw + 6)
-        )
-        return HP(j, math.ldexp(aj * rel, -prec) + _ulp(aj, prec), prec)
+        rel = 24 * tail_P / max(aP, 0.5) + (4 * k + 30) * 2.0 ** (prec - pw + 6)
+        # 1/|q P^24|: from |j| while |E4| > 1/2; below that |q| > 0.001,
+        # so 1/|q| is a float
+        inv = aj / ae4**3 if ae4 > 0.5 else math.exp(-lr) / aP**24
+        d = math.ldexp(d4, -prec)
+        err = inv * (d4 * (3 * ae4 * ae4 + 3 * ae4 * d + d * d) + (ae4 + d) ** 3 * rel)
+        return HP(j, math.ldexp(err, -prec) + _ulp(aj, prec), prec)
 
 
 def _parse_fspec(f_spec):
     """Returns (label, poly_coeffs_in_j | None, qexp | None, degree)."""
     if isinstance(f_spec, QSeries):
-        return ("qexp", None, f_spec, max(1, int(-min(f_spec.terms, default=-1))))
+        # pole order in whole powers of q: terms step by q^(1/denom)
+        return ("qexp", None, f_spec, max(1, -(min(f_spec.terms, default=0) // f_spec.denom)))
     if isinstance(f_spec, (list, tuple)):
         coeffs = [Fraction(c) for c in f_spec]
         return ("poly", coeffs, None, max(1, len(coeffs) - 1))
@@ -281,22 +290,15 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
     return TraceEntry(D, p, label, num, rounded, residual, certified, precision, count)
 
 
-def trace_table(f_spec, Ds, p: int = 1, threads: int = 1):
-    """trace() for each distinct D, ascending, at its own precision_for(D).
-
-    Computed sequentially: mpmath is pure Python, so threads would only
-    contend for the interpreter lock.  `threads` is accepted for
-    compatibility and must be at least 1.
-    """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+def trace_table(f_spec, Ds, p: int = 1):
+    """trace() for each distinct D, ascending, at its own precision_for(D)."""
     return [trace(f_spec, D, p) for D in sorted(set(Ds))]
 
 
 # ---------------------------------------------------------------------------
-# exact formula / asymptotics / Duke statistic
+# exact formula / Duke statistic
 
-def exact_formula_tJ(D: int, c_max: int = 10000, precision: int = 53) -> HP:
+def exact_formula_tJ(D: int, c_max: int = 10000) -> HP:
     """-24 H(D) + sum over 0 < c = 0 (mod 4), c <= c_max of
     S(D,c) sinh(4 pi sqrt(D)/c).  Partial sum by contract; the series
     converges too slowly for certified summation."""
@@ -319,18 +321,7 @@ def exact_formula_tJ(D: int, c_max: int = 10000, precision: int = 53) -> HP:
         sh = 0.5 * (math.exp(arg) - math.exp(-arg))
         total += float(s.value) * sh
         err += s.error_bound * sh + _ulp(abs(float(s.value)) * sh + 1.0, 53)
-    return HP(total, err, precision)
-
-
-def asymptotic_residual(D: int, precision: int | None = None) -> HP:
-    """t_J(D) - (-1)^D e^{pi sqrt D}."""
-    entry = trace("J", D, 1, precision)
-    prec = entry.precision
-    with mp.workprec(prec + 16):
-        main = (-1) ** (D % 2) * mp.e ** (mp.pi * mp.sqrt(D))
-        val = mp.mpf(entry.value_rounded.numerator) / entry.value_rounded.denominator - main
-    eb = entry.residual + entry.value_numeric.error_bound + 4 * _ulp(abs(float(main)), prec)
-    return HP(val, eb, prec)
+    return HP(total, err, 53)
 
 
 @lru_cache(maxsize=4)
@@ -390,18 +381,6 @@ def _duke_statistic_mp(D: int, precision: int) -> HP:
         h = hurwitz(D)
         val = total * h.denominator / h.numerator
     return HP(val, 2.0 ** (-precision + 12) * (abs(float(val)) + 1.0), precision)
-
-
-def duke_window_mean(lo: int, hi: int, precision: int = 53):
-    """Mean of the Duke statistic over fundamental D in [lo, hi]."""
-    vals = []
-    for D in range(lo, hi + 1):
-        if D % 4 in (1, 2) or not is_fundamental(D):
-            continue
-        vals.append(float(duke_statistic(D, precision).value))
-    if not vals:
-        raise ValueError("window contains no fundamental discriminants")
-    return math.fsum(vals) / len(vals), len(vals)
 
 
 # ---------------------------------------------------------------------------

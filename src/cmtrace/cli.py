@@ -36,11 +36,25 @@ from .sums import poincare_coeff
 from .thetalift import theta_integral
 from .verify import FULL_CHECKS, _admissible, run_suite
 
-DEFAULT_C_MAX = 10 ** 5  # poincare --cmax
-DEFAULT_TOL = 1e-4  # theta --tol
-
-
 # -- argument converters (bad values exit 2 through argparse) ---------------
+
+def _checked(kind, ok, need: str):
+    """Converter to kind whose value must satisfy ok ("must be {need}")."""
+    def convert(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return x
+    return convert
+
+
+_BITS = _checked(int, lambda n: n >= 64, "at least 64")
+_COUNT = _checked(int, lambda n: n >= 1, "at least 1")
+_POSITIVE = _checked(float, lambda x: x > 0, "positive")
+
 
 def _range_arg(text: str):
     lo, _, hi = text.partition(":")
@@ -148,29 +162,27 @@ def cmd_series(args, cache):
 
 def cmd_exactformula(args, cache):
     Ds = _resolve_Ds(args)
-    cmax = args.cmax or 10 ** 4
-    prec = args.precision or 53
-    key = cache_key("exactformula", {"Ds": Ds, "c_max": cmax}, prec)
+    # float64 throughout, so every --precision shares one entry
+    key = cache_key("exactformula", {"Ds": Ds, "c_max": args.cmax}, 53)
     rows = cache.get(key)
     if rows is None:
         rows = []
         for D in Ds:
-            r = exact_formula_tJ(D, c_max=cmax, precision=prec)
-            rows.append({"D": D, "c_max": cmax, "value": float(r.value),
+            r = exact_formula_tJ(D, c_max=args.cmax)
+            rows.append({"D": D, "c_max": args.cmax, "value": float(r.value),
                          "error_bound": r.error_bound})
         cache.put(key, rows)
     return reports.render_table(rows, reports.EXACTFORMULA_FIELDS, args.format), 0
 
 
 def cmd_poincare(args, cache):
-    cmax = args.cmax or DEFAULT_C_MAX
-    prec = args.precision or 53
+    # float64 throughout, so every --precision shares one entry
     key = cache_key("poincare", {"k": args.k, "m": args.m, "n": args.n,
-                                 "c_max": cmax}, prec)
+                                 "c_max": args.cmax}, 53)
     rows = cache.get(key)
     if rows is None:
-        r = poincare_coeff(args.k, args.m, args.n, cmax, precision=prec)
-        rows = [{"k": args.k, "m": args.m, "n": args.n, "c_max": cmax,
+        r = poincare_coeff(args.k, args.m, args.n, args.cmax)
+        rows = [{"k": args.k, "m": args.m, "n": args.n, "c_max": args.cmax,
                  "value": float(r.value), "error_bound": r.error_bound}]
         cache.put(key, rows)
     return reports.render_table(rows, reports.POINCARE_FIELDS, args.format), 0
@@ -186,9 +198,8 @@ def cmd_duke(args, cache):
 
 
 def cmd_theta(args, cache):
-    tol = args.tol or DEFAULT_TOL
-    r = theta_integral(args.h, args.tau, args.f, tol=tol)
-    rows = [{"h": args.h, "tau": repr(args.tau), "f": args.f, "tol": tol,
+    r = theta_integral(args.h, args.tau, args.f, tol=args.tol)
+    rows = [{"h": args.h, "tau": repr(args.tau), "f": args.f, "tol": args.tol,
              "integral_re": float(r.value.real),
              "integral_im": float(r.value.imag),
              "error_bound": r.error_bound}]
@@ -208,8 +219,7 @@ def cmd_verify(args, cache):
     else:
         level, only = "fast", what
     t0 = time.time()
-    results, passed = run_suite(level, only=only, threads=args.threads,
-                                dmax=args.dmax, cmax=args.cmax, tol=args.tol)
+    results, passed = run_suite(level, only=only, dmax=args.dmax, cmax=args.cmax, tol=args.tol)
     outputs = [{"check": r.name, "identity": r.identity, "passed": r.passed,
                 "detail": r.detail, "seconds": round(r.seconds, 3)}
                for r in results]
@@ -230,8 +240,9 @@ def cmd_verify(args, cache):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=None, metavar="BITS")
-    common.add_argument("--threads", type=int, default=1, metavar="N")
+    common.add_argument("--precision", type=_BITS, default=None, metavar="BITS")
+    # accepted and has no effect: tables are computed sequentially
+    common.add_argument("--threads", type=_COUNT, default=1, metavar="N")
     common.add_argument("--cache-dir", default=None, metavar="PATH")
     common.add_argument("--no-cache", action="store_true")
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -260,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "trace":
             sp.add_argument("--f", type=_fspec_arg, default="J")
         if name == "exactformula":
-            sp.add_argument("--cmax", type=int, default=None)
+            sp.add_argument("--cmax", type=_COUNT, default=10 ** 4)
 
     sp = add("series", cmd_series, "q-expansion coefficients of a named series")
     sp.add_argument("--name", required=True)
@@ -270,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--cmax", type=int, default=None)
+    sp.add_argument("--cmax", type=_COUNT, default=10 ** 5)
 
     sp = add("duke", cmd_duke, "per-discriminant equidistribution statistic")
     sp.add_argument("--range", type=_range_arg, required=True, metavar="LO:HI")
@@ -279,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=int, default=0)
     sp.add_argument("--tau", type=_tau_arg, required=True, metavar="x+yj")
     sp.add_argument("--f", type=_fspec_arg, default="1")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_POSITIVE, default=1e-4)
 
     sp = add("avg", cmd_avg, "regularized average over the modular curve")
     sp.add_argument("--f", type=_fspec_arg, required=True)
@@ -289,8 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["fast", "full"] + sorted(FULL_CHECKS),
                     help="fast, full, or a single check name")
     sp.add_argument("--dmax", type=int, default=None)
-    sp.add_argument("--cmax", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--cmax", type=_COUNT, default=None)
+    sp.add_argument("--tol", type=_POSITIVE, default=None)
 
     return p
 
@@ -301,13 +312,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-
-    if (args.precision or 64) < 64:
-        print("usage error: --precision must be at least 64 bits", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("usage error: --threads must be at least 1", file=sys.stderr)
-        return 2
 
     cache = Cache(directory=args.cache_dir, enabled=not args.no_cache)
     try:

@@ -18,7 +18,6 @@ import mpmath as mp
 import numpy as np
 
 from .hp import HP, _ulp
-from .qform import QuadForm
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,6 @@ def x_of_z(z) -> LatticeVector:
     if y <= 0:
         raise ValueError("Im z > 0 required")
     return LatticeVector(-x / y, (x * x + y * y) / y, -1.0 / y)
-
-
-def vector_of_form(Q: QuadForm) -> LatticeVector:
-    """X_Q = [[-B/2, -C], [A, B/2]]: q(X_Q) = D/4 and span(X_Q)
-    corresponds to the CM point alpha_Q."""
-    return LatticeVector(Fraction(-Q.b, 2), Fraction(-Q.c), Fraction(Q.a))
 
 
 def majorant(X: LatticeVector, z) -> HP:

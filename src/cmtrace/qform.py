@@ -1,8 +1,8 @@
 """Positive definite binary quadratic forms.
 
-Reduction, enumeration, stabilizers, CM points, Hurwitz class numbers,
-and orbit representatives for the level-p Hecke groups extended by the
-Fricke involution.
+Reduction, enumeration, stabilizers, Hurwitz class numbers, and orbit
+representatives for the level-p Hecke groups extended by the Fricke
+involution.
 
 Conventions.  A form [a,b,c] is Q(x,y) = ax^2 + bxy + cy^2 with
 disc = b^2 - 4ac < 0 and a,c > 0.  SL2(Z) acts by
@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import mpmath as mp
-
-from .hp import HP, _ulp
 
 
 @dataclass(frozen=True, order=True)
@@ -51,16 +47,9 @@ class QuadForm:
 
 
 @dataclass(frozen=True)
-class CMPoint:
-    form: QuadForm
-    alpha: HP  # (-b + i sqrt(D)) / (2a)
-
-
-@dataclass(frozen=True)
 class OrbitRep:
     form: QuadForm
     stabilizer_order: int
-    group_tag: str  # "full-modular" or "fricke-extended(p)"
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +287,6 @@ def is_fundamental(D: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# CM points
-
-def cm_point(Q: QuadForm, precision: int = 64) -> CMPoint:
-    if precision < 32:
-        raise ValueError("precision below 32 bits not supported")
-    with mp.workprec(precision + 10):
-        alpha = mp.mpc(-Q.b, mp.sqrt(Q.D)) / (2 * Q.a)
-    val = HP(alpha, _ulp(abs(alpha), precision), precision)
-    return CMPoint(Q, val)
-
-
-# ---------------------------------------------------------------------------
 # Level-p orbits (Fricke-extended Hecke groups)
 
 def fricke_image(Q: QuadForm, p: int) -> QuadForm:
@@ -373,13 +350,8 @@ def level_p_orbits(D: int, p: int):
     involution then pairs or fixes Gamma_0(p)-classes; a fixed class gets
     its stabilizer doubled.
     """
-    if p == 1:
-        return [
-            OrbitRep(f, stabilizer_order(f), "full-modular")
-            for f in enumerate_reduced(D)
-        ]
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-        raise ValueError("p must be prime (or 1)")
+        raise ValueError("p must be prime")
     if D <= 0 or D % 4 in (1, 2):
         return []
 
@@ -438,6 +410,6 @@ def level_p_orbits(D: int, p: int):
                 raise AssertionError("Fricke image did not land in any class")
         if stab not in (1, 2, 3, 4, 6):
             raise AssertionError(f"stabilizer order {stab} outside {{1,2,3,4,6}}")
-        reps.append(OrbitRep(Qi, stab, f"fricke-extended({p})"))
+        reps.append(OrbitRep(Qi, stab))
     reps.sort(key=lambda r: (r.form.a, r.form.b, r.form.c))
     return reps

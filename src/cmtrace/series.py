@@ -511,22 +511,6 @@ def faber(m: int, trunc: int) -> QSeries:
     return out.with_trunc(trunc)
 
 
-def weight_basis(k: int, trunc: int) -> list:
-    """Basis of the one-dimensional spaces of level-one modular forms.
-
-    Only k in {4, 6, 8, 10, 14} qualify: at weight 12 the cusp form makes
-    the space two-dimensional, so a normalized basis is no longer pinned
-    down by the constant term alone.
-    """
-    if k not in (4, 6, 8, 10, 14):
-        raise ValueError(f"weight {k} space is not one-dimensional")
-    if k in (4, 6):
-        return [eisenstein(k, trunc)]
-    e4 = eisenstein(4, trunc)
-    e6 = eisenstein(6, trunc)
-    return [{8: e4 * e4, 10: e4 * e6, 14: e4 * e4 * e6}[k]]
-
-
 # ---------------------------------------------------------------------------
 # arithmetic helpers for the trace identities
 

@@ -125,7 +125,7 @@ def _poincare_tail_bound(k: int, m: int, n: int, C: int) -> float:
 _POINCARE_C_CAP = 4000
 
 
-def poincare_coeff(k: int, m: int, n: int, c_max: int, precision: int = 53) -> HP:
+def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
     """Coefficient a(n) of the weight-k Poincare series q^{-m} + O(q):
 
         a(n) = 2 pi (-1)^{k/2} (n/m)^{(k-1)/2}

@@ -26,6 +26,7 @@ from .lattice import LatticeSpec, LatticeVector
 from .qform import hurwitz
 
 _C = 1.0 / (2.0 * math.pi)
+_LEVEL4 = LatticeSpec.level4()  # the default lattice, and the only one the integration supports
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
     """Sum of km_value over the dual coset h + L, with certified truncation
     error <= tol.  Float64 path for ordinary tolerances, mpmath otherwise."""
     if spec is None:
-        spec = LatticeSpec.level4()
+        spec = _LEVEL4
     hv = _resolve_h(spec, h)
     tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
     zz = complex(z.value) if isinstance(z, HP) else complex(z)
@@ -230,8 +231,7 @@ def _strip_cutoff(v: float, n0: int, alead: float, tol: float) -> float:
     return Y
 
 
-def _integral_profile(h, v: float, f_spec, tol: float, us, spec: LatticeSpec,
-                      y_top: float = None):
+def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
     """I_h(u_j + i v) for every u_j in us, sharing one quadrature pass.
 
     Returns (values complex ndarray, certified-ish error bound float).
@@ -239,7 +239,7 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, spec: LatticeSpec,
     X -> (x1, -x2, -x3) ... net: theta(tau, -zbar) = theta(tau, z)), so the
     input enters through 2 Re f.
     """
-    hv = _resolve_h(spec, h)
+    hv = _resolve_h(_LEVEL4, h)
     f_vals, n0, alead = _f_grid_evaluator(f_spec)
     Y = y_top if y_top is not None else _strip_cutoff(v, n0, alead, tol)
     us = np.asarray(us, dtype=float)
@@ -254,19 +254,19 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, spec: LatticeSpec,
     err = _strip_bound(Y, v, n0, alead)
 
     for kind, ya, yb in panels:
-        base = _panel_quad(kind, ya, yb, 12, hv, v, f_vals, tol, us, spec)
-        fine = _panel_quad(kind, ya, yb, 18, hv, v, f_vals, tol, us, spec)
+        base = _panel_quad(kind, ya, yb, 12, hv, v, f_vals, tol, us)
+        fine = _panel_quad(kind, ya, yb, 18, hv, v, f_vals, tol, us)
         change = float(np.abs(fine[0] - base[0]).max())
         if change > tol / 6:
             base = fine
-            fine = _panel_quad(kind, ya, yb, 27, hv, v, f_vals, tol, us, spec)
+            fine = _panel_quad(kind, ya, yb, 27, hv, v, f_vals, tol, us)
             change = float(np.abs(fine[0] - base[0]).max())
         vals += fine[0]
         err += change + fine[1]
     return vals, err
 
 
-def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us, spec):
+def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us):
     """Tensor Gauss-Legendre over one panel; returns (I_j contributions,
     kernel-truncation error pushed through the measure)."""
     gx, wx = np.polynomial.legendre.leggauss(n)
@@ -287,44 +287,37 @@ def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us, spec):
         for yj, wyj, fj in zip(ys, wys, fv):
             w = 2.0 * wxi * wyj / (yj * yj)  # fold + measure
             tol_node = tol * yj * yj / (40.0 * (1.0 + abs(fj.real)))
-            qq, sums, tail = _enumerate_qsums(spec, hv, v, xi, yj, tol_node)
+            qq, sums, tail = _enumerate_qsums(_LEVEL4, hv, v, xi, yj, tol_node)
             theta_js = np.exp(2j * math.pi * np.outer(us, qq)) @ sums
             out += w * fj.real * theta_js
             kerr += abs(w * fj.real) * tail
     return out, kerr
 
 
-def theta_integral(h, tau, f_spec, tol: float = 1e-4,
-                   spec: LatticeSpec = None) -> HP:
-    """Regularized integral of f(z) theta_h(tau, z) over the modular curve
-    (raw normalization: Fourier coefficients are twice the CM traces,
-    the +-X pairs of the kernel both contributing)."""
-    if spec is not None and spec.name != "level4":
-        raise NotImplementedError("integration is wired for the level-4 lattice")
-    spec = LatticeSpec.level4()
+def theta_integral(h, tau, f_spec, tol: float = 1e-4) -> HP:
+    """Regularized integral of f(z) theta_h(tau, z) over the level-4
+    lattice's modular curve (raw normalization: Fourier coefficients are
+    twice the CM traces, the +-X pairs of the kernel both contributing)."""
     tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
     if tt.imag < 0.5:
         raise ValueError("Im tau >= 1/2 required by the truncation design")
-    vals, err = _integral_profile(h, tt.imag, f_spec, tol, [tt.real], spec)
+    vals, err = _integral_profile(h, tt.imag, f_spec, tol, [tt.real])
     return HP(mp.mpc(complex(vals[0])), err, 53)
 
 
 def fourier_extract(h, m, v: float, f_spec, grid_size: int = 8,
-                    tol: float = 1e-3, spec: LatticeSpec = None) -> HP:
+                    tol: float = 1e-3) -> HP:
     """Coefficient of e(m tau) in the trace-normalized lift component h,
     via a DFT over grid_size equispaced u values at height v.
 
     m must lie in q(h) + Z; the raw integral carries twice the trace, and
     the 1/2 is applied here.
     """
-    if spec is not None and spec.name != "level4":
-        raise NotImplementedError("integration is wired for the level-4 lattice")
-    spec = LatticeSpec.level4()
     if grid_size < 8:
         raise ValueError("grid_size >= 8 required")
     if v < 0.5:
         raise ValueError("v >= 1/2 required")
-    hv = _resolve_h(spec, h)
+    hv = _resolve_h(_LEVEL4, h)
     mf = Fraction(m).limit_denominator(64) if not isinstance(m, Fraction) else Fraction(m)
     if (mf - Fraction(hv.q())) % 1 != 0:
         raise ValueError(f"m = {m} is not congruent to q(h) mod 1")
@@ -338,7 +331,7 @@ def fourier_extract(h, m, v: float, f_spec, grid_size: int = 8,
                           "increase grid_size", stacklevel=2)
 
     us = np.arange(grid_size) / grid_size
-    vals, err = _integral_profile(h, v, f_spec, tol, us, spec)
+    vals, err = _integral_profile(h, v, f_spec, tol, us)
     phases = np.exp(-2j * math.pi * float(mf) * us)
     raw = complex(np.sum(vals * phases)) / grid_size
     amp = math.exp(2 * math.pi * float(mf) * v)

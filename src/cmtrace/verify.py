@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import inspect
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from .analytic import (
@@ -21,6 +23,7 @@ from .analytic import (
     regularized_average,
     trace_table,
 )
+from .cache import Cache, cache_key
 from .lattice import LatticeSpec, disc_form_of, negation_permutation, weil_rep
 from .qform import hurwitz, hurwitz_table, is_fundamental
 from .reports import TRACE_FIELDS, render_table, trace_row
@@ -48,11 +51,11 @@ def _admissible(lo: int, hi: int):
 
 # ---------------------------------------------------------------------------
 
-def check_zagier(dmax: int = 500, threads: int = 1) -> CheckResult:
+def check_zagier(dmax: int = 500) -> CheckResult:
     ident = "traces of J equal coefficients of the weight-3/2 eta-quotient series"
     t0 = time.time()
     g = g_series(dmax + 1)
-    table = trace_table("J", _admissible(3, dmax), threads=threads)
+    table = trace_table("J", _admissible(3, dmax))
     bad = []
     for e in table:
         if not e.certified or e.residual >= 1e-6 or e.value_rounded != g.coeff(e.D):
@@ -61,7 +64,7 @@ def check_zagier(dmax: int = 500, threads: int = 1) -> CheckResult:
     return CheckResult("zagier", ident, not bad, detail, time.time() - t0)
 
 
-def check_faber(dmax: int = 200, threads: int = 1) -> CheckResult:
+def check_faber(dmax: int = 200) -> CheckResult:
     ident = "traces of Faber polynomials equal plus-space coefficients; constant term 2*sigma1(m)"
     t0 = time.time()
     ok = True
@@ -74,7 +77,7 @@ def check_faber(dmax: int = 200, threads: int = 1) -> CheckResult:
             ok = False
             notes.append(f"m={m}: constant {lift.coeff(0)} != {2 * sigma1(m)}")
             continue
-        table = trace_table(f"J{m}", _admissible(3, dmax), threads=threads)
+        table = trace_table(f"J{m}", _admissible(3, dmax))
         bad = [e.D for e in table
                if not e.certified or e.value_rounded != lift.coeff(e.D)]
         if bad:
@@ -118,11 +121,11 @@ def check_poincare(cmax: int = 10 ** 5) -> CheckResult:
                        time.time() - t0)
 
 
-def check_exactformula(dmax: int = 200, threads: int = 1) -> CheckResult:
+def check_exactformula(dmax: int = 200) -> CheckResult:
     ident = "first term of the exponential-sum/sinh expansion dominates the trace"
     t0 = time.time()
     Ds = [D for D in _admissible(3, dmax) if is_fundamental(D)]
-    table = {e.D: e for e in trace_table("J", Ds, threads=threads)}
+    table = {e.D: e for e in trace_table("J", Ds)}
     bad = []
     for D in Ds:
         t = float(table[D].value_rounded)
@@ -134,11 +137,11 @@ def check_exactformula(dmax: int = 200, threads: int = 1) -> CheckResult:
                        time.time() - t0)
 
 
-def check_asymptotic(dmax: int = 200, threads: int = 1) -> CheckResult:
+def check_asymptotic(dmax: int = 200) -> CheckResult:
     ident = "trace growth (-1)^D e^{pi sqrt D} with exponentially smaller remainder"
     t0 = time.time()
     Ds = _admissible(3, dmax)
-    table = {e.D: e for e in trace_table("J", Ds, threads=threads)}
+    table = {e.D: e for e in trace_table("J", Ds)}
     bad = []
     for D in Ds:
         gap = abs(float(table[D].value_rounded) - (-1) ** D * math.exp(math.pi * math.sqrt(D)))
@@ -235,16 +238,39 @@ def check_plusspace(trunc: int = 200) -> CheckResult:
                        time.time() - t0)
 
 
-def check_determinism(threads: int = 4) -> CheckResult:
-    ident = "trace tables are byte-identical across thread counts"
+def _determinism_rows():
+    tables = (("J", _admissible(3, 120)), ("J2", [3, 4, 23, 100]))
+    return [trace_row(e) for f, Ds in tables for e in trace_table(f, Ds)]
+
+
+def check_determinism() -> CheckResult:
+    ident = ("trace tables are byte-identical whatever the global mpmath "
+             "precision, and after a round trip through the result cache")
     t0 = time.time()
-    Ds = _admissible(3, 120)
-    texts = []
-    for th in (1, threads):
-        rows = [trace_row(e) for e in trace_table("J", Ds, threads=th)]
-        texts.append(render_table(rows, TRACE_FIELDS, "json"))
-    return CheckResult("determinism", ident, texts[0] == texts[1],
-                       f"1 vs {threads} threads, {len(Ds)} rows", time.time() - t0)
+    rows = _determinism_rows()
+    want = render_table(rows, TRACE_FIELDS, "json")
+    bad = []
+    saved = mp.mp.prec
+    for prec in (20, 2000):
+        mp.mp.prec = prec
+        try:
+            got = render_table(_determinism_rows(), TRACE_FIELDS, "json")
+        except (ValueError, ArithmeticError) as exc:  # a run that cannot finish differs too
+            got = repr(exc)
+        finally:
+            mp.mp.prec = saved
+        if got != want:
+            bad.append(f"mp.prec {prec}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Cache(tmp)
+        key = cache_key("determinism", {}, "policy")
+        cache.put(key, rows)  # a cold run stores its rows, a warm one reads them
+        if render_table(cache.get(key), TRACE_FIELDS, "json") != want:
+            bad.append("cache")
+    return CheckResult("determinism", ident, not bad,
+                       f"{len(rows)} rows of J and J2 at mp.prec 20 and 2000 and "
+                       f"from a warm cache, mismatches {bad}",
+                       time.time() - t0)
 
 
 def check_eisenstein(tol: float = 1e-3) -> CheckResult:
@@ -291,7 +317,7 @@ FAST_CHECKS = {
 FULL_CHECKS = dict(FAST_CHECKS, eisenstein=check_eisenstein, theta=check_theta_traces)
 
 
-def run_suite(level: str = "fast", only: str = None, threads: int = 1, **kw):
+def run_suite(level: str = "fast", only: str = None, **kw):
     """Run the named check or a whole suite; returns (results, all_passed)."""
     checks = FULL_CHECKS if level == "full" else FAST_CHECKS
     if only is not None:
@@ -302,7 +328,5 @@ def run_suite(level: str = "fast", only: str = None, threads: int = 1, **kw):
     for name, fn in checks.items():
         params = inspect.signature(fn).parameters
         kwargs = {k: v for k, v in kw.items() if k in params and v is not None}
-        if "threads" in params:
-            kwargs.setdefault("threads", threads)
         results.append(fn(**kwargs))
     return results, all(r.passed for r in results)

@@ -155,9 +155,10 @@ def test_criterion_14_determinism(capsys, tmp_path, monkeypatch):
             assert code == 0
         if outs[0] != outs[1]:
             mismatched.append(argv[0])
-    r = check_determinism(threads=4)
+    r = check_determinism()
     ok = not mismatched and r.passed
-    announce(capsys, 14, "table commands byte-identical across thread counts",
+    announce(capsys, 14, "table commands byte-identical across thread counts,"
+             " global mpmath precision and the cache",
              ok, f"{len(commands)} commands x 1 vs 3 threads, mismatches"
              f" {mismatched}; library check: {r.detail}")
     assert ok

@@ -21,10 +21,10 @@ from cmtrace import analytic
 from cmtrace.analytic import (
     _alpha_of,
     _form_precision,
-    asymptotic_residual,
+    _j_certified,
+    _parse_fspec,
     beta_integral,
     duke_statistic,
-    duke_window_mean,
     eval_modular,
     eval_qexpansion,
     exact_formula_tJ,
@@ -33,7 +33,7 @@ from cmtrace.analytic import (
     trace,
     trace_table,
 )
-from cmtrace.qform import enumerate_reduced, hurwitz
+from cmtrace.qform import QuadForm, enumerate_reduced, hurwitz
 from cmtrace.series import QSeries, eta, faber_poly, g_series, t_series
 
 SQ3 = math.sqrt(3)
@@ -71,6 +71,16 @@ class TestEvalModular:
         # J2 = j^2 - 1488 j + 159768 at j = 1728
         v = eval_modular("J2", mp.mpc(0, 1), 80)
         assert abs(float(abs(v.value - 574488))) <= v.error_bound
+
+    @pytest.mark.parametrize("prec", [64, 80, 200, 1000])
+    def test_bound_holds_at_rho(self, prec):
+        # j has a triple zero at rho = alpha of [36, 36, 36] (D = 3888), so
+        # E4's error there cannot be charged relative to |E4|
+        tau = _alpha_of(QuadForm(36, 36, 36), prec)
+        v = _j_certified(tau, prec)
+        assert abs(v.value) <= v.error_bound
+        with mp.workprec(prec + 160):
+            assert abs(v.value - 1728 * mp.kleinj(tau)) <= v.error_bound
 
     def test_constant(self):
         v = eval_modular("1", mp.mpc(0, 5), 64)
@@ -145,6 +155,11 @@ class TestTrace:
         assert float(e.value_numeric.value) == pytest.approx(-3493982, abs=1e-3)
 
 
+def _fricke_hauptmodul():
+    A = eta(60, 1) ** 24 / eta(60, 2) ** 24
+    return A + QSeries.exact({0: 24}) + 4096 * A.reciprocal()
+
+
 class TestLevelTraces:
     def test_mass_of_constant(self):
         from cmtrace.qform import level_p_orbits
@@ -158,13 +173,22 @@ class TestLevelTraces:
     def test_fricke_invariant_hauptmodul(self):
         # A + 24 + 4096/A with A = (eta(tau)/eta(2tau))^24 is invariant
         # under the Fricke involution, so its folded-orbit trace is exact.
-        A = eta(60, 1) ** 24 / eta(60, 2) ** 24
-        T2 = A + QSeries.exact({0: 24}) + 4096 * A.reciprocal()
+        T2 = _fricke_hauptmodul()
         assert T2.coeff(1) == 4372  # sanity: known expansion
         # D=4 rep is Fricke-fixed with stabilizer 4: A^2 = 4096 there, and
         # numerics pick A = -64, giving (-64 + 24 - 64)/4
         for D, want in [(4, -26), (8, 76), (12, -248)]:
             e = trace(T2, D, p=2)
+            assert e.certified and e.value_rounded == want, D
+
+    def test_pole_order_counts_whole_powers_of_q(self):
+        # T2 = q^-1 + ... is stored on a q^(1/24) grid; its degree is 1,
+        # so level-2 traces run at the policy precision of degree 1
+        T2 = _fricke_hauptmodul()
+        assert T2.denom == 24 and _parse_fspec(T2)[3] == 1
+        for D, want in [(4, -26), (8, 76), (12, -248), (23, -94)]:
+            e = trace(T2, D, p=2)
+            assert e.precision == precision_for(D), D
             assert e.certified and e.value_rounded == want, D
 
     def test_level_requires_qexp(self):
@@ -257,16 +281,6 @@ class TestExactFormula:
             exact_formula_tJ(5, 4)
 
 
-class TestAsymptoticResidual:
-    def test_anchors(self):
-        r3 = asymptotic_residual(3)
-        assert float(r3.value) == pytest.approx(-248 + math.exp(math.pi * SQ3), abs=1e-9)
-        assert float(r3.value) == pytest.approx(-17.2354, abs=1e-3)
-        r4 = asymptotic_residual(4)
-        assert float(r4.value) == pytest.approx(492 - math.exp(2 * math.pi), abs=1e-9)
-        assert float(r4.value) == pytest.approx(-43.4917, abs=1e-3)
-
-
 def _duke_oracle(D, prec=140):
     # reconstruct from the exact integer trace and a direct high-precision
     # subtraction of the dominant terms
@@ -297,11 +311,6 @@ class TestDuke:
         lo = float(duke_statistic(103).value)
         hi = float(duke_statistic(103, precision=120).value)
         assert abs(lo - hi) < 1e-11
-
-    def test_window_mean(self):
-        m, n = duke_window_mean(500, 560)
-        assert n > 10
-        assert -80 < m < 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -358,18 +367,20 @@ class TestBeta:
 
 
 class TestBatch:
-    def test_thread_determinism(self):
-        seq = trace_table("J", range(3, 80), threads=1)
-        par = trace_table("J", range(3, 80), threads=4)
-
+    def test_independent_of_global_precision(self):
+        # every step runs under its own workprec, so mpmath's global
+        # precision (here far below and far above the policy) changes nothing
         def key(e):
             return (e.D, e.p, str(e.value_rounded), e.value_numeric.value._mpf_,
                     e.value_numeric.error_bound, e.residual, e.certified, e.precision)
 
-        assert [key(e) for e in seq] == [key(e) for e in par]
+        want = [key(e) for e in trace_table("J", range(3, 80))]
+        for prec in (20, 2000):
+            with mp.workprec(prec):
+                assert [key(e) for e in trace_table("J", range(3, 80))] == want, prec
 
     def test_sorted_dedup(self):
-        out = trace_table("J", [8, 3, 8, 4], threads=1)
+        out = trace_table("J", [8, 3, 8, 4])
         assert [e.D for e in out] == [3, 4, 8]
 
     def test_precision_policy(self):

@@ -194,6 +194,10 @@ class TestExitCodes:
         ("trace", "--f", "J", "--D", "3", "--precision", "32"),
         ("trace", "--f", "J", "--D", "3", "--threads", "0"),
         ("trace", "--f", "J", "--D", "3", "--level", "2"),
+        ("trace", "--D", "3", "--precision", "0"),
+        ("exactformula", "--D", "3", "--cmax", "0"),
+        ("poincare", "--cmax", "0"),
+        ("theta", "--tau", "1j", "--tol", "0"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2

@@ -19,13 +19,18 @@ from cmtrace.lattice import (
     negation_permutation,
     pair,
     pair_with_xz,
-    vector_of_form,
     weil_rep,
     x_of_z,
 )
 from cmtrace.qform import QuadForm, enumerate_reduced
 
 TOL40 = 2.0 ** -40
+
+
+def _vector_of_form(Q: QuadForm) -> LatticeVector:
+    # X_Q = [[-b/2, -c], [a, b/2]]: q(X_Q) = D/4, and X_Q spans the
+    # negative line of the CM point alpha_Q
+    return LatticeVector(Fraction(-Q.b, 2), Fraction(-Q.c), Fraction(Q.a))
 
 
 def _rand_z(rng):
@@ -79,7 +84,7 @@ class TestVectors:
             x_of_z(1 - 2j)
 
     def test_vector_of_form(self):
-        X = vector_of_form(QuadForm(1, 0, 1))
+        X = _vector_of_form(QuadForm(1, 0, 1))
         assert (X.x1, X.x2, X.x3) == (0, -1, 1)
         assert X.q() == 1  # D/4 for D = 4
 
@@ -88,13 +93,13 @@ class TestVectors:
         for D in (3, 4, 7, 23):
             for Q in enumerate_reduced(D):
                 alpha = complex(-Q.b, math.sqrt(D)) / (2 * Q.a)
-                s = pair_with_xz(vector_of_form(Q), alpha)
+                s = pair_with_xz(_vector_of_form(Q), alpha)
                 assert abs(s + math.sqrt(D)) < 1e-9
 
     def test_form_vector_coset_tracks_middle_coefficient(self):
         for D in (3, 4, 8, 11, 12):
             for Q in enumerate_reduced(D):
-                got = Fraction(vector_of_form(Q).q()) % 1
+                got = Fraction(_vector_of_form(Q).q()) % 1
                 assert got == (Fraction(3, 4) if D % 4 == 3 else 0)
 
     def test_majorant_positive(self):

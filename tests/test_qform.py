@@ -6,14 +6,15 @@ Oracle for equivalence questions: brute-force BFS over words in S, T
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmtrace.analytic import _alpha_of, trace
 from cmtrace.qform import (
     QuadForm,
     apply_gl2,
-    cm_point,
     enumerate_reduced,
     fricke_image,
     hurwitz,
@@ -26,6 +27,7 @@ from cmtrace.qform import (
     stabilizer_order,
     transporter,
 )
+from cmtrace.series import QSeries
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -207,12 +209,13 @@ def test_gamma0_equivalence_vs_bfs():
 # level-p orbits
 
 def test_level_one_orbits_are_reduced_forms():
+    # a level-one trace sums over the reduced forms, each weighted by
+    # 1/|stabilizer|, so the constant 1 traces to H(D)
+    one = QSeries.exact({0: 1})
     for D in (3, 4, 23, 47):
-        orbs = level_p_orbits(D, 1)
-        assert [o.form for o in orbs] == enumerate_reduced(D)
-        for o in orbs:
-            assert o.stabilizer_order == stabilizer_order(o.form)
-            assert o.group_tag == "full-modular"
+        e = trace(one, D)
+        assert e.class_count == len(enumerate_reduced(D))
+        assert e.certified and e.value_rounded == hurwitz(D)
 
 
 def test_level_two_disc_four():
@@ -222,7 +225,6 @@ def test_level_two_disc_four():
     o = orbs[0]
     assert o.form.a % 2 == 0 and o.form.D == 4
     assert o.stabilizer_order == 4
-    assert o.group_tag == "fricke-extended(2)"
     W = fricke_image(o.form, 2)
     assert is_gamma0_equivalent(W, o.form, 2)
 
@@ -279,23 +281,18 @@ def test_fricke_image_involution():
 def test_level_p_rejects_composite():
     with pytest.raises(ValueError):
         level_p_orbits(23, 6)
+    with pytest.raises(ValueError):
+        level_p_orbits(23, 1)  # level one is the plain reduced-form sum
 
 
 # ---------------------------------------------------------------------------
-# CM points
+# CM points alpha_Q, as the traces evaluate them (analytic._alpha_of)
 
 def test_cm_point_values():
-    cp = cm_point(QuadForm(1, 1, 1), 80)
-    z = cp.alpha.value
-    assert abs(complex(z) - complex(-0.5, 3**0.5 / 2)) < 1e-15
-    assert cp.alpha.error_bound < 1e-20
-    cp4 = cm_point(QuadForm(1, 0, 1), 64)
-    assert abs(complex(cp4.alpha.value) - 1j) < 1e-15
-
-
-def test_cm_point_precision_floor():
-    with pytest.raises(ValueError):
-        cm_point(QuadForm(1, 0, 1), 16)
+    z = _alpha_of(QuadForm(1, 1, 1), 80)  # carries 80 + 32 bits
+    with mp.workprec(160):
+        assert abs(z - mp.mpc(-0.5, mp.sqrt(3) / 2)) < 2.0 ** -100
+    assert abs(complex(_alpha_of(QuadForm(1, 0, 1), 64)) - 1j) < 1e-15
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,6 +301,5 @@ def test_cm_point_satisfies_form_equation(a, b, c):
     # a*alpha^2 + b*alpha + c = 0
     if b * b - 4 * a * c >= 0:
         return
-    cp = cm_point(QuadForm(a, b, c), 64)
-    z = cp.alpha.value
+    z = _alpha_of(QuadForm(a, b, c), 64)
     assert abs(a * z * z + b * z + c) < 1e-12

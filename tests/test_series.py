@@ -22,7 +22,6 @@ from cmtrace.series import (
     sigma1,
     t_series,
     theta_series,
-    weight_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -103,17 +102,6 @@ def test_one_dimensional_weight_identities():
     assert (eisenstein(4, T) ** 2).eq_through(eisenstein(8, T), T)
     assert (eisenstein(4, T) * eisenstein(6, T)).eq_through(eisenstein(10, T), T)
     assert (eisenstein(4, T) ** 2 * eisenstein(6, T)).eq_through(eisenstein(14, T), T)
-
-
-def test_weight_basis():
-    for k in (4, 6, 8, 10, 14):
-        (b,) = weight_basis(k, 10)
-        assert b.coeff(0) == 1
-        assert b.val() == 0
-    with pytest.raises(ValueError):
-        weight_basis(12, 10)
-    with pytest.raises(ValueError):
-        weight_basis(2, 10)
 
 
 def test_faber_polynomials():

@@ -169,8 +169,8 @@ class TestIntegral:
     def test_strip_cutoff_stability(self):
         # pushing the cusp truncation one unit higher moves nothing
         Y = _strip_cutoff(1.0, 1, 1.0, 1e-4)
-        a, ea = _integral_profile(1, 1.0, "J", 1e-4, [0.0], LEVEL4, y_top=Y)
-        b, _ = _integral_profile(1, 1.0, "J", 1e-4, [0.0], LEVEL4, y_top=Y + 1.0)
+        a, ea = _integral_profile(1, 1.0, "J", 1e-4, [0.0], y_top=Y)
+        b, _ = _integral_profile(1, 1.0, "J", 1e-4, [0.0], y_top=Y + 1.0)
         assert abs(a[0] - b[0]) < ea
 
     def test_validation(self):
@@ -180,8 +180,6 @@ class TestIntegral:
             theta_integral(0, 1j, "j")  # nonzero constant term
         with pytest.raises(ValueError):
             theta_integral(0, 1j, [0, 744, 1])
-        with pytest.raises(NotImplementedError):
-            theta_integral(0, 1j, "J", spec=LatticeSpec.level4p(2))
 
 
 class TestFourierExtract:

@@ -1,10 +1,15 @@
 """trace_table is trace() per distinct D at the per-D precision policy,
-and Faber polynomials are built once per degree."""
+its bytes do not depend on mpmath's global state or on the cache, and
+Faber polynomials are built once per degree."""
 
+import contextlib
+
+import mpmath as mp
 import pytest
 
-from cmtrace import series
+from cmtrace import cache, series
 from cmtrace.analytic import trace, trace_table
+from cmtrace.verify import check_determinism
 
 
 def _fields(e):
@@ -21,9 +26,21 @@ def test_table_equals_per_D_trace(f, Ds):
     assert [_fields(e) for e in table] == [_fields(trace(f, D)) for D in Ds]
 
 
-def test_threads_below_one_rejected():
-    with pytest.raises(ValueError):
-        trace_table("J", [3, 4], threads=0)
+def test_determinism_check_catches_missing_workprec(monkeypatch):
+    # with every workprec a no-op, traces run at the global precision
+    monkeypatch.setattr(mp, "workprec", lambda *a, **k: contextlib.nullcontext())
+    r = check_determinism()
+    assert not r.passed
+    assert "mp.prec 20" in r.detail and "mp.prec 2000" in r.detail
+
+
+def test_determinism_check_catches_cache_drift(monkeypatch):
+    # a cache that stores floats to fewer digits serves other bytes
+    canonical = cache._canonical
+    monkeypatch.setattr(cache, "_canonical",
+                        lambda obj: round(obj, 6) if isinstance(obj, float) else canonical(obj))
+    r = check_determinism()
+    assert not r.passed and r.detail.endswith("mismatches ['cache']")
 
 
 def test_faber_polynomial_built_once(monkeypatch):
