@@ -428,17 +428,18 @@ def _f_grid_evaluator(f_spec):
     return f_vals, deg, abs(fc[-1])
 
 
-def regularized_average(f_spec, precision: int = 53) -> HP:
+def regularized_average(f_spec) -> HP:
     """(3/pi) * regularized integral of f over the modular curve.
 
     Only the sliver of the fundamental domain below y = 1 needs
     quadrature: above it the domain is the full unit strip, where each
     horocycle integral equals the constant term -- exactly zero for the
     admissible f, and handled in closed form for the constant function.
+    The quadrature runs in float64, so the result is declared at 53 bits.
     """
     f_vals, n0, _ = _f_grid_evaluator(f_spec)
     if n0 == 0:  # the constant 1
-        return HP(1, 0.0, precision)
+        return HP(1, 0.0, 53)
 
     def quad_once(nx, ny):
         gx, wx = np.polynomial.legendre.leggauss(nx)
@@ -463,7 +464,7 @@ def regularized_average(f_spec, precision: int = 53) -> HP:
         change = abs(cur - prev)
     val = (3.0 / math.pi) * cur
     eb = (3.0 / math.pi) * change + 1e-11 * (abs(val) + 1.0)
-    return HP(mp.mpf(val), eb, precision)
+    return HP(mp.mpf(val), eb, 53)
 
 
 def beta_integral(s, precision: int = 53) -> HP:

@@ -53,6 +53,8 @@ def _checked(kind, ok, need: str):
 
 _BITS = _checked(int, lambda n: n >= 64, "at least 64")
 _COUNT = _checked(int, lambda n: n >= 1, "at least 1")
+_NONNEG = _checked(int, lambda n: n >= 0, "at least 0")
+_DMAX = _checked(int, lambda n: n >= 3, "at least 3")  # the least discriminant any check uses
 _POSITIVE = _checked(float, lambda x: x > 0, "positive")
 
 
@@ -207,7 +209,7 @@ def cmd_theta(args, cache):
 
 
 def cmd_avg(args, cache):
-    r = regularized_average(args.f, precision=args.precision or 53)
+    r = regularized_average(args.f)
     rows = [{"f": args.f, "value": float(r.value), "error_bound": r.error_bound}]
     return reports.render_table(rows, reports.AVG_FIELDS, args.format), 0
 
@@ -275,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("series", cmd_series, "q-expansion coefficients of a named series")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--dmax", type=int, default=25)
+    sp.add_argument("--dmax", type=_NONNEG, default=25)
 
     sp = add("poincare", cmd_poincare, "Rademacher-type coefficient of a Poincare series")
     sp.add_argument("--k", type=int, default=4)
@@ -299,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("what", nargs="?", default="fast",
                     choices=["fast", "full"] + sorted(FULL_CHECKS),
                     help="fast, full, or a single check name")
-    sp.add_argument("--dmax", type=int, default=None)
+    sp.add_argument("--dmax", type=_DMAX, default=None)
     sp.add_argument("--cmax", type=_COUNT, default=None)
     sp.add_argument("--tol", type=_POSITIVE, default=None)
 

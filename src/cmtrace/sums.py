@@ -7,6 +7,7 @@ import math
 from math import cos, fsum, gcd, pi
 
 import mpmath as mp
+import numpy as np
 
 from .hp import HP, _ulp
 
@@ -38,13 +39,13 @@ def exp_sum_S(D: int, c: int) -> HP:
     """S(D,c) = sum over x (mod c) with x^2 = -D (mod c) of e(2x/c)."""
     if c < 1:
         raise ValueError("c >= 1")
-    terms = []
-    for x in range(c):
-        if (x * x + D) % c == 0:
-            r = (2 * x) % c
-            terms.append(cos(2.0 * pi * r / c))
-    val = fsum(terms)
-    return HP(val, len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
+    if c * c >= 2 ** 63:
+        raise ValueError(f"c = {c} is too large for the int64 root scan")
+    # roots in increasing order; x^2 + (D mod c) < c^2 stays inside int64
+    x = np.arange(c, dtype=np.int64)
+    roots = np.flatnonzero((x * x + D % c) % c == 0).tolist()
+    val = fsum([cos(2.0 * pi * ((2 * r) % c) / c) for r in roots])
+    return HP(val, len(roots) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
 
 
 def bessel_i(nu, x, precision: int = 53) -> HP:

@@ -9,6 +9,12 @@ for the lift of the constant function.
 All bulk numerics are float64/numpy in a fixed summation order (single
 threaded, deterministic); the high-precision path (small tolerances, e.g.
 vanishing certificates) runs the same enumeration under mpmath.
+
+The enumerator works on many quadrature nodes at once: the quadrature
+hands it a whole column (the y-nodes sharing one x), each with its own
+tolerance, and every point carries its node's index through the row
+expansion.  Each node's grouped sums equal, bit for bit, those of the node
+enumerated alone; theta_kernel and the mpmath sum pass a single node.
 """
 
 from __future__ import annotations
@@ -32,17 +38,18 @@ _LEVEL4 = LatticeSpec.level4()  # the default lattice, and the only one the inte
 # ---------------------------------------------------------------------------
 # majorant Gram data and the certified tail
 
-def _majorant_gram(x: float, y: float, steps) -> np.ndarray:
+def _majorant_gram(x, y, steps) -> np.ndarray:
     """Gram matrix of majorant(X, z) in the integer coordinates n with
-    X = (s1 n1, s2 n2, s3 n3)."""
-    zz = x * x + y * y
-    A = np.array([
-        [4 * x * x / (y * y) + 2.0, 2 * x / (y * y), -2 * x * zz / (y * y)],
-        [2 * x / (y * y), 1.0 / (y * y), 1.0 - zz / (y * y)],
-        [-2 * x * zz / (y * y), 1.0 - zz / (y * y), zz * zz / (y * y)],
-    ])
-    D = np.diag([float(s) for s in steps])
-    return D @ A @ D
+    X = (s1 n1, s2 n2, s3 n3), at z = x + iy; entry [i, j] has the shape
+    of x and y, one value per node.  Each entry is (s_i A_ij) s_j, which
+    is D @ A @ D, D = diag(s), bit for bit."""
+    yy = y * y
+    zz = x * x + yy
+    A = [[4 * x * x / yy + 2.0, 2 * x / yy, -2 * x * zz / yy],
+         [2 * x / yy, 1.0 / yy, 1.0 - zz / yy],
+         [-2 * x * zz / yy, 1.0 - zz / yy, zz * zz / yy]]
+    s = [float(t) for t in steps]
+    return np.array([[s[i] * A[i][j] * s[j] for j in range(3)] for i in range(3)])
 
 
 # permutation: enumerate x1 outer, x3 middle, x2 inner (x2 has the widest
@@ -50,16 +57,17 @@ def _majorant_gram(x: float, y: float, steps) -> np.ndarray:
 _PERM = (1, 2, 0)  # local coords (m1, m2, m3) = (x2, x3, x1)
 
 
-def _local_cholesky(x: float, y: float, steps):
-    """The majorant Gram in the local coordinates _PERM as L^T diag(q) L,
-    L unit upper-triangular; returns (q1, q2, q3, a12, a13, a23)."""
-    B = _majorant_gram(x, y, steps)[np.ix_(_PERM, _PERM)].tolist()
-    q1 = B[0][0]
-    a12 = B[0][1] / q1
-    a13 = B[0][2] / q1
-    q2 = B[1][1] - q1 * a12 * a12
-    a23 = (B[1][2] - q1 * a12 * a13) / q2
-    q3 = B[2][2] - q1 * a13 * a13 - q2 * a23 * a23
+def _local_cholesky(x, y, steps):
+    """The majorant Gram at the nodes z = x + iy (float64 arrays) in the
+    local coordinates _PERM as L^T diag(q) L, L unit upper-triangular;
+    returns arrays (q1, q2, q3, a12, a13, a23), one entry per node."""
+    B = _majorant_gram(x, y, steps)[np.ix_(_PERM, _PERM)]
+    q1 = B[0, 0]
+    a12 = B[0, 1] / q1
+    a13 = B[0, 2] / q1
+    q2 = B[1, 1] - q1 * a12 * a12
+    a23 = (B[1, 2] - q1 * a12 * a13) / q2
+    q3 = B[2, 2] - q1 * a13 * a13 - q2 * a23 * a23
     return q1, q2, q3, a12, a13, a23
 
 
@@ -83,9 +91,10 @@ def _pick_threshold(v: float, qs, tol: float) -> float:
 
 def _rows(rem, ctr, q):
     """Row index and n of every integer n with q (n - ctr)^2 <= rem, row
-    after row (rows with rem < 0 are empty), as int64 arrays."""
+    after row (rows with rem < 0 are empty), as int64 arrays; rem, ctr and
+    q hold one entry per row."""
     ok = np.flatnonzero(rem >= 0)
-    r = np.sqrt(rem[ok] / q)
+    r = np.sqrt(rem[ok] / q[ok])
     lo = np.ceil(ctr[ok] - r).astype(np.int64)
     counts = np.floor(ctr[ok] + r).astype(np.int64) - lo + 1
     row = np.repeat(np.arange(ok.size), counts)
@@ -93,26 +102,28 @@ def _rows(rem, ctr, q):
     return ok[row], np.arange(row.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
-def _coset_points(spec: LatticeSpec, h: LatticeVector, T: float, chol):
-    """The points X of h + L with M(X) <= T, M given by its _local_cholesky
-    factors, ordered x1 outer, x3 middle, x2 inner.  Returns int64 indices
-    (k1, k2, k3) and float64 coordinates (x1, x2, x3), x_i = (k_i + h_i/s_i) s_i.
-    The row bounds are rounded: a point on the edge may have M just above T."""
+def _coset_points(spec: LatticeSpec, h: LatticeVector, T, chol):
+    """The points X of h + L with M(X) <= T[i] at every node i, M given by
+    the nodes' _local_cholesky factors.  Points come node after node, each
+    node's ordered x1 outer, x3 middle, x2 inner.  Returns the int64 node
+    index of each point, int64 indices (k1, k2, k3) and float64 coordinates
+    (x1, x2, x3), x_i = (k_i + h_i/s_i) s_i.  The row bounds are rounded: a
+    point on the edge may have M just above T."""
     q1, q2, q3, a12, a13, a23 = chol
     steps = [float(s) for s in spec.steps]
     off = [float(hx) / s for hx, s in zip((h.x1, h.x2, h.x3), steps)]
     c1, c2, c3 = (off[k] for k in _PERM)  # local coordinates m = n + c
 
-    _, n3 = _rows(np.array([T]), np.array([-c3]), q3)
+    node, n3 = _rows(T, np.full(T.size, -c3), q3)
     m3 = n3 + c3
-    rem2 = T - q3 * m3 * m3
-    i3, n2 = _rows(rem2, -(c2 + a23 * m3), q2)
-    m3, m2 = m3[i3], n2 + c2
-    rem1 = rem2[i3] - q2 * (m2 + a23 * m3) ** 2
-    i2, n1 = _rows(rem1, -(a12 * m2 + a13 * m3) - c1, q1)
+    rem = T[node] - q3[node] * m3 * m3
+    i, n2 = _rows(rem, -(c2 + a23[node] * m3), q2[node])
+    node, n3, m3, m2 = node[i], n3[i], m3[i], n2 + c2
+    rem = rem[i] - q2[node] * (m2 + a23[node] * m3) ** 2
+    i, n1 = _rows(rem, -(a12[node] * m2 + a13[node] * m3) - c1, q1[node])
 
-    k = (n3[i3[i2]], n1, n2[i2])
-    return k, tuple((kk + o) * s for kk, o, s in zip(k, off, steps))
+    k = (n3[i], n1, n2[i])
+    return node[i], k, tuple((kk + o) * s for kk, o, s in zip(k, off, steps))
 
 
 def _s_q_majorant(x, y, x1, x2, x3):
@@ -122,27 +133,40 @@ def _s_q_majorant(x, y, x1, x2, x3):
     return s, -x1 * x1 - x2 * x3, s * s + 2 * x1 * x1 + 2 * x2 * x3
 
 
-def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float,
-                     x: float, y: float, tol: float):
-    """Coset sums of km over h + L at u = 0, grouped by q(X).
+def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float, x, y, tol):
+    """Coset sums of km over h + L at u = 0, grouped by q(X), at every node
+    z = x + iy with its own tolerance (x, y, tol float64 arrays).
 
-    Returns (q, sums, tail): sums[i] multiplies e(q[i] u), q running over
-    a grid of step 1/4; tail is a certified bound on the dropped terms.
+    Returns one (q, sums, tail) per node: sums[i] multiplies e(q[i] u), q
+    running over a grid of step 1/4; tail is a certified bound on the
+    dropped terms.  A node without points gets q = sums = [0].
     """
     chol = _local_cholesky(x, y, spec.steps)
-    T = _pick_threshold(v, chol[:3], tol)
-    tail = _tail_bound(T, v, chol[:3])
+    qs = np.column_stack(chol[:3]).tolist()
+    T = [_pick_threshold(v, qn, tn) for qn, tn in zip(qs, tol.tolist())]
+    tails = [_tail_bound(Tn, v, qn) for Tn, qn in zip(T, qs)]
+    T = np.array(T)
 
-    s_, qv, M = _s_q_majorant(x, y, *_coset_points(spec, h, T, chol)[1])
-    keep = M <= T
-    if not keep.any():
-        return np.zeros(1), np.zeros(1), tail
-    s_, qv, M = s_[keep], qv[keep], M[keep]
+    node, _, X = _coset_points(spec, h, T, chol)
+    s_, qv, M = _s_q_majorant(x[node], y[node], *X)
+    keep = M <= T[node]
+    node, s_, qv, M = node[keep], s_[keep], qv[keep], M[keep]
     tv = (v * s_ * s_ - _C) * np.exp(-math.pi * v * M)
     qq = np.rint(4.0 * qv).astype(np.int64)
-    qq0 = int(qq.min())
-    sums = np.bincount(qq - qq0, weights=tv)
-    return (qq0 + np.arange(sums.size)) / 4.0, sums, tail
+
+    # node i owns bins end[i] - width[i] .. end[i] - 1, one per 4q in lo[i]..hi[i]
+    lo = np.zeros(x.size, dtype=np.int64)
+    hi = np.zeros(x.size, dtype=np.int64)
+    first = np.flatnonzero(np.diff(node, prepend=-1))
+    if first.size:
+        lo[node[first]] = np.minimum.reduceat(qq, first)
+        hi[node[first]] = np.maximum.reduceat(qq, first)
+    width = hi - lo + 1
+    end = np.cumsum(width)
+    start = end - width
+    sums = np.bincount(start[node] + qq - lo[node], weights=tv, minlength=int(end[-1]))
+    q = (np.arange(sums.size) + np.repeat(lo - start, width)) / 4.0
+    return [(q[a:b], sums[a:b], t) for a, b, t in zip(start.tolist(), end.tolist(), tails)]
 
 
 def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
@@ -152,9 +176,9 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
     with mp.workprec(precision + 16):
         u, v = mp.mpf(tau.real), mp.mpf(tau.imag)
         x, y = mp.mpf(z.real), mp.mpf(z.imag)
-        chol = _local_cholesky(float(x), float(y), spec.steps)
+        chol = _local_cholesky(np.array([float(x)]), np.array([float(y)]), spec.steps)
         # threshold from float bound, with slack for the float Gram
-        qs = [q * 0.98 for q in chol[:3]]
+        qs = [float(q[0]) * 0.98 for q in chol[:3]]
         T = _pick_threshold(float(v), qs, tol)
         tail = _tail_bound(T, float(v) * 0.99, qs)
 
@@ -166,7 +190,7 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
 
         total = mp.mpc(0)
         abssum = mp.mpf(0)
-        k, _ = _coset_points(spec, h, T, chol)
+        _, k, _ = _coset_points(spec, h, np.array([T]), chol)
         for kk in zip(*(a.tolist() for a in k)):
             X = [(n + o) * s for n, o, s in zip(kk, off, steps)]
             s_, qx, M = _s_q_majorant(x, y, *X)
@@ -203,7 +227,8 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
         raise ValueError("tol > 0 required")
 
     if tol >= 1e-12 and precision is None:
-        qq, sums, tail = _enumerate_qsums(spec, hv, tt.imag, zz.real, zz.imag, tol)
+        ((qq, sums, tail),) = _enumerate_qsums(spec, hv, tt.imag, np.array([zz.real]),
+                                               np.array([zz.imag]), np.array([tol]))
         val = complex(np.sum(sums * np.exp(2j * math.pi * qq * tt.real)))
         err = tail + 1e-14 * (float(np.abs(sums).sum()) + 1.0)
         return HP(mp.mpc(val), err, 53)
@@ -283,11 +308,12 @@ def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us):
             y0, y1 = ya, yb
         ys = 0.5 * (y1 - y0) * (gy + 1.0) + y0
         wys = 0.5 * (y1 - y0) * wy
-        fv = f_vals(np.full_like(ys, xi), ys)
-        for yj, wyj, fj in zip(ys, wys, fv):
+        xcol = np.full_like(ys, xi)
+        fv = f_vals(xcol, ys)
+        tols = tol * ys * ys / (40.0 * (1.0 + np.abs(fv.real)))
+        column = _enumerate_qsums(_LEVEL4, hv, v, xcol, ys, tols)
+        for yj, wyj, fj, (qq, sums, tail) in zip(ys, wys, fv, column):
             w = 2.0 * wxi * wyj / (yj * yj)  # fold + measure
-            tol_node = tol * yj * yj / (40.0 * (1.0 + abs(fj.real)))
-            qq, sums, tail = _enumerate_qsums(_LEVEL4, hv, v, xi, yj, tol_node)
             theta_js = np.exp(2j * math.pi * np.outer(us, qq)) @ sums
             out += w * fj.real * theta_js
             kerr += abs(w * fj.real) * tail

@@ -198,6 +198,9 @@ class TestExitCodes:
         ("exactformula", "--D", "3", "--cmax", "0"),
         ("poincare", "--cmax", "0"),
         ("theta", "--tau", "1j", "--tol", "0"),
+        ("verify", "zagier", "--dmax", "0"),
+        ("verify", "zagier", "--dmax", "-5"),
+        ("series", "--name", "g", "--dmax", "-5"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2

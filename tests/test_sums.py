@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace.sums import bessel_i, exp_sum_S, kloosterman, poincare_coeff
+from cmtrace.hp import _ulp
+from cmtrace.sums import _COS_TERM_ERR, bessel_i, exp_sum_S, kloosterman, poincare_coeff
 
 
 def _kloosterman_naive(m, n, c):
@@ -67,6 +68,21 @@ class TestExpSumS:
                 v = exp_sum_S(D, c)
                 assert abs(tot.imag) < 1e-9
                 assert abs(float(v.value) - tot.real) < 1e-9
+
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 2000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_root_loop(self, D, c):
+        # the scan over all of Z/c, term for term in the same order
+        terms = [math.cos(2.0 * math.pi * ((2 * x) % c) / c)
+                 for x in range(c) if (x * x + D) % c == 0]
+        val = math.fsum(terms)
+        v = exp_sum_S(D, c)
+        assert repr(float(v.value)) == repr(val)
+        assert v.error_bound == len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
+
+    def test_modulus_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            exp_sum_S(3, 2 ** 32)
 
     @given(st.integers(1, 60), st.integers(1, 50))
     @settings(max_examples=120, deadline=None)

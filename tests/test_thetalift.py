@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cmtrace.analytic import _f_grid_evaluator
 from cmtrace.lattice import LatticeSpec, LatticeVector, pair, x_of_z
 from cmtrace.thetalift import (
     _coset_points,
@@ -52,44 +53,85 @@ ENUM_CASES = [  # (spec, coset index, x, y, v, tol)
     (LEVEL4, 1, 0.0, 2.5, 2.0, 1e-12),
     (LatticeSpec.level4p(2), 37, 0.3, 1.3, 1.0, 1e-8),
 ]
+# each case's node is enumerated in one call together with these nodes
+# (x, y, tol); EMPTY_NODE holds no point of level4p(2) coset 37 at v = 1
+EMPTY_NODE = (0.2, 1.0, 0.9)
+COMPANIONS = [(0.45, 0.87, 1e-3), EMPTY_NODE, (0.05, 2.0, 1e-8)]
+
+
+def _nodes(x, y, tol):
+    nodes = [(x, y, tol)] + COMPANIONS
+    return nodes, tuple(np.array(c, dtype=float) for c in zip(*nodes))
+
+
+def _threshold(spec, v, x, y, tol):
+    chol = _local_cholesky(np.array([x]), np.array([y]), spec.steps)
+    return _pick_threshold(v, [float(c[0]) for c in chol[:3]], tol)
 
 
 class TestEnumeration:
     @pytest.mark.parametrize("spec, hi, x, y, v, tol", ENUM_CASES)
     def test_points_match_brute_force(self, spec, hi, x, y, v, tol):
         h = spec.cosets()[hi]
-        chol = _local_cholesky(x, y, spec.steps)
-        T = _pick_threshold(v, chol[:3], tol)
-        k, X = _coset_points(spec, h, T, chol)
-        got = list(zip(*(a.tolist() for a in k)))
-        want, _, _ = _brute_force(spec, h, x, y, T)
-        assert len(got) == len(set(got)) > 1
-        assert set(got) == set(zip(*(a.tolist() for a in want)))
-        # fixed order: x1 outer, x3 middle, x2 inner
-        assert got == sorted(got, key=lambda t: (t[0], t[2], t[1]))
+        nodes, (xs, ys, _) = _nodes(x, y, tol)
+        T = np.array([_threshold(spec, v, *n) for n in nodes])
+        node, k, X = _coset_points(spec, h, T, _local_cholesky(xs, ys, spec.steps))
+        assert np.all(np.diff(node) >= 0)  # node after node
         steps = [float(s) for s in spec.steps]
         hs = (float(h.x1), float(h.x2), float(h.x3))
-        for kk, xx, s, hx in zip(k, X, steps, hs):
-            assert np.allclose(xx, kk * s + hx, rtol=0, atol=1e-12)
+        for i, (xi, yi, _) in enumerate(nodes):
+            mine = node == i
+            got = list(zip(*(a[mine].tolist() for a in k)))
+            want, _, _ = _brute_force(spec, h, xi, yi, T[i])
+            assert len(got) == len(set(got))
+            assert set(got) == set(zip(*(a.tolist() for a in want)))
+            assert not got if (hi, nodes[i]) == (37, EMPTY_NODE) else len(got) > 1
+            # fixed order: x1 outer, x3 middle, x2 inner
+            assert got == sorted(got, key=lambda t: (t[0], t[2], t[1]))
+            for kk, xx, s, hx in zip(k, X, steps, hs):
+                assert np.allclose(xx[mine], kk[mine] * s + hx, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spec, hi, x, y, v, tol", ENUM_CASES)
     def test_grouped_sums_match_brute_force(self, spec, hi, x, y, v, tol):
         h = spec.cosets()[hi]
-        T = _pick_threshold(v, _local_cholesky(x, y, spec.steps)[:3], tol)
-        _, X, M = _brute_force(spec, h, x, y, T)
-        s = pair(LatticeVector(*X), x_of_z(complex(x, y)))
-        terms = (v * s * s - 1 / (2 * math.pi)) * np.exp(-math.pi * v * M)
-        qq = np.rint(4 * LatticeVector(*X).q()).astype(int)
-        ref, absref = {}, {}
-        for b, t in zip(qq.tolist(), terms.tolist()):
-            ref[b] = ref.get(b, 0.0) + t
-            absref[b] = absref.get(b, 0.0) + abs(t)
+        nodes, columns = _nodes(x, y, tol)
+        got_nodes = _enumerate_qsums(spec, h, v, *columns)
+        assert len(got_nodes) == len(nodes)
+        for (xi, yi, ti), (q, sums, _) in zip(nodes, got_nodes):
+            _, X, M = _brute_force(spec, h, xi, yi, _threshold(spec, v, xi, yi, ti))
+            s = pair(LatticeVector(*X), x_of_z(complex(xi, yi)))
+            terms = (v * s * s - 1 / (2 * math.pi)) * np.exp(-math.pi * v * M)
+            qq = np.rint(4 * LatticeVector(*X).q()).astype(int)
+            ref, absref = {}, {}
+            for b, t in zip(qq.tolist(), terms.tolist()):
+                ref[b] = ref.get(b, 0.0) + t
+                absref[b] = absref.get(b, 0.0) + abs(t)
 
-        q, sums, _ = _enumerate_qsums(spec, h, v, x, y, tol)
-        got = dict(zip(np.rint(4 * q).astype(int).tolist(), sums.tolist()))
-        assert {b for b, t in got.items() if t} == {b for b, t in ref.items() if t}
-        for b, t in ref.items():
-            assert abs(got[b] - t) <= 1e-13 * absref[b]
+            got = dict(zip(np.rint(4 * q).astype(int).tolist(), sums.tolist()))
+            assert {b for b, t in got.items() if t} == {b for b, t in ref.items() if t}
+            for b, t in ref.items():
+                assert abs(got[b] - t) <= 1e-13 * absref[b]
+
+    @pytest.mark.parametrize("kind, n, xi", [("arc", 12, 0), ("arc", 27, 26), ("rect", 18, 5)])
+    @pytest.mark.parametrize("spec, hi, v", [(LEVEL4, 0, 1.0), (LEVEL4, 1, 0.5),
+                                             (LatticeSpec.level4p(2), 37, 1.0)])
+    def test_column_matches_nodes_alone(self, kind, n, xi, spec, hi, v):
+        # one quadrature column, tolerances as _panel_quad sets them for J
+        h = spec.cosets()[hi]
+        g = np.polynomial.legendre.leggauss(n)[0]
+        x = 0.25 * (g[xi] + 1.0)
+        y0, y1 = (math.sqrt(1.0 - x * x), 1.0) if kind == "arc" else (1.0, 2.0)
+        ys = 0.5 * (y1 - y0) * (g + 1.0) + y0
+        xs = np.full_like(ys, x)
+        fv = _f_grid_evaluator("J")[0](xs, ys)
+        tols = 1e-3 * ys * ys / (40.0 * (1.0 + np.abs(fv.real)))
+        column = _enumerate_qsums(spec, h, v, xs, ys, tols)
+        assert len(column) == n
+        for j, (q, sums, tail) in enumerate(column):
+            ((q1, sums1, tail1),) = _enumerate_qsums(spec, h, v, xs[j:j + 1], ys[j:j + 1], tols[j:j + 1])
+            assert q.tobytes() == q1.tobytes()
+            assert sums.tobytes() == sums1.tobytes()
+            assert repr(tail) == repr(tail1)
 
 
 class TestKernel:
