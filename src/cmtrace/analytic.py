@@ -18,7 +18,7 @@ import numpy as np
 
 from .hp import HP, _ulp
 from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
-from .series import QSeries, _sigma, bigJ_series, faber_poly, j_series
+from .series import QSeries, bigJ_series, faber_poly, j_series
 
 _LN2 = math.log(2.0)
 
@@ -32,17 +32,47 @@ def precision_for(D: int, degree: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # certified CM evaluation
 
-def _sigma3_cap(n: int) -> float:
-    # sigma_3(n)/n^3 = sum_{d|n} d^-3 < zeta(3)
-    return 1.21 * n**3
+def _pentagonal(q, lr: float, cut: float):
+    """(P, k, t): P(q) = prod_{n>=1} (1 - q^n) summed by Euler's
+    pentagonal theorem until the next power |q|^e1 is below e^cut, the
+    last step k, and t = ln of a bound on the terms left out.  lr = ln|q|.
+
+    P = 1 + sum_k (-1)^k (q^e1 + q^e2) with the pentagonal e1 = k(3k-1)/2,
+    e2 = e1 + k and e1(k+1) = e2 + 2k+1: the powers are stepped along by
+    q^k and q^(2k+1), four products per k.  Each q^e leaves those chains
+    after e - 1 products, so for |q| <= 0.006 its rounding is at most
+    (e-1)|q|^e relative to |P| > 0.99, and the sum over e stays below the
+    one rounding per product that callers charge.
+    """
+    P = mp.mpf(1)
+    qk, q2 = q, q * q
+    q2k1 = q2 * q
+    qe1 = q
+    k = 1
+    while True:
+        qe2 = qe1 * qk
+        P += -(qe1 + qe2) if k % 2 else qe1 + qe2
+        k += 1
+        if k * (3 * k - 1) // 2 * lr < cut:
+            break
+        qe1 = qe2 * q2k1
+        qk *= q
+        q2k1 *= q2
+    # the terms left: at most 2 sum_{i >= e1(k)} |q|^i
+    return P, k, math.log(2 / (1 - math.exp(lr))) + k * (3 * k - 1) // 2 * lr
 
 
 def _j_certified(tau, prec: int):
-    """j(tau) = E4^3 / (q * P(q)^24) with P the Euler product, plus a
-    certified absolute error bound.  Requires Im tau >= sqrt(3)/2 - eps."""
+    """j(tau) = (1 + 256 f)^3 / f with f = Delta(2 tau) / Delta(tau)
+    = q (P(q^2) / P(q))^24 and P the Euler product, plus a certified
+    absolute error bound.  Requires Im tau >= sqrt(3)/2 - eps.
+
+    It is computed as 256 u^3 / x with x = 256 f and u = 1 + x.
+    """
     pw = prec + 32
-    # Tails and stopping tests work with logarithms, and the relative error
-    # in units of 2^-prec: |q| and 2^-prec leave the float range at high
+    ulp = 2.0 ** (prec - pw)  # one rounding at pw bits, in units of 2^-prec
+    # Tails and stopping tests work with logarithms, and the errors in
+    # units of 2^-prec: |q| and 2^-prec leave the float range at high
     # precision (|q| < 2^-1074 once Im tau > 118).
     lr = -2 * math.pi * float(tau.imag)  # ln|q|
     cut = -(prec + 20) * _LN2  # ln 2^-(prec+20)
@@ -51,62 +81,28 @@ def _j_certified(tau, prec: int):
         q = mp.e ** (2j * mp.pi * tau)
         if abs(q) > 0.006:  # e^{-pi sqrt 3} = 0.00433...
             raise ValueError("evaluation point not reduced (Im tau too small)")
-        geo = 1 / (1 - math.exp(lr))  # sum of r^i over i >= 0
-
-        # E4 = 1 + 240 sum sigma3(n) q^n
-        e4 = mp.mpf(1)
-        qn = mp.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            qn *= q
-            s3 = _sigma(n, 3)
-            e4 += 240 * s3 * qn
-            if math.log(240 * _sigma3_cap(n + 1)) + (n + 1) * lr < cut:
-                break
-        # geometric-ish tail: sum_{m>n} 240*1.21*m^3 r^m <= bound * C(r)
-        tail_e4 = math.exp(math.log(240 * _sigma3_cap(n + 1) * 1.1 * geo) + (n + 1) * lr + scale)
-
-        # P(q) = prod (1-q^n) = 1 + sum_k (-1)^k (q^e1 + q^e2) with the
-        # pentagonal e1 = k(3k-1)/2, e2 = e1 + k and e1(k+1) = e2 + 2k+1:
-        # the powers are stepped along by q^k and q^(2k+1)
-        P = mp.mpf(1)
-        qk, q2 = q, q * q
-        q2k1 = q2 * q
-        qe1 = q
-        k = 1
-        while True:
-            qe2 = qe1 * qk
-            sgn = -1 if k % 2 else 1
-            P += sgn * (qe1 + qe2)
-            k += 1
-            if k * (3 * k - 1) // 2 * lr < cut:
-                break
-            qe1 = qe2 * q2k1
-            qk *= q
-            q2k1 *= q2
-        tail_P = 2 * geo * math.exp(k * (3 * k - 1) // 2 * lr + scale)
-
-        j = e4**3 / (q * P**24)
-        aj = float(abs(j))
-        ae4 = float(abs(e4))
-        aP = float(abs(P))
-        # E4 vanishes at rho (j = 0 there), so its error is absolute: the
-        # tail plus the rounding of n terms whose moduli sum below 3 (for
-        # |q| <= 0.006), in units of 2^-prec.  It reaches E4^3 as
-        # (|E4| + d)^3 - |E4|^3.
-        d4 = tail_e4 + 3 * (n + 8) * 2.0 ** (prec - pw + 6)
-        # the rest is relative, in units of 2^-prec: 24 parts P, and
-        # rounding headroom.  Each q^e leaves the chains above after e - 1
-        # products, so its rounding is at most (e-1)|q|^e relative to
-        # |P| > 0.99; the sum over e stays below one unit, and the 4 per k
-        # charged for the chain (one per product) cover it.
-        rel = 24 * tail_P / max(aP, 0.5) + (4 * k + 30) * 2.0 ** (prec - pw + 6)
-        # 1/|q P^24|: from |j| while |E4| > 1/2; below that |q| > 0.001,
-        # so 1/|q| is a float
-        inv = aj / ae4**3 if ae4 > 0.5 else math.exp(-lr) / aP**24
-        d = math.ldexp(d4, -prec)
-        err = inv * (d4 * (3 * ae4 * ae4 + 3 * ae4 * d + d * d) + (ae4 + d) ** 3 * rel)
+        P1, k1, t1 = _pentagonal(q, lr, cut)
+        P2, k2, t2 = _pentagonal(q * q, 2 * lr, cut)
+        x = 256 * q * (P2 / P1) ** 24
+        u = 1 + x
+        j = 256 * u**3 / x
+        aj, au, ax = float(abs(j)), float(abs(u)), float(abs(x))
+        # f's error is relative: 24 parts of each P's tail over |P| > 0.99;
+        # q inherits the rounding of its argument 2 pi i tau, at most
+        # (6 pi |tau| + 2) ulps, which moves f by under 1.2 times as much;
+        # and 64 ulps for each of the other roundings: 4 per pentagonal
+        # step, and 40 for q^2, P2/P1, the 24th power, the products, u and
+        # u^3 / x.
+        rel = (25 * (math.exp(t1 + scale) + math.exp(t2 + scale))
+               + (24 * float(abs(tau)) + 64 * (4 * (k1 + k2) + 40)) * ulp)
+        # u vanishes at rho (j = 0 there), so its error is absolute,
+        # |x| rel.  It reaches u^3 as (|u| + d)^3 - |u|^3.
+        du = ax * rel
+        # 1/|f| = 256/|x|: from |j| while |u| > 1/2; below that |x| > 1/2,
+        # so nothing divides by an underflowed |q|
+        inv = aj / au**3 if au > 0.5 else 256 / ax
+        d = math.ldexp(du, -prec)
+        err = inv * (du * (3 * au * au + 3 * au * d + d * d) + (au + d) ** 3 * rel)
         return HP(j, math.ldexp(err, -prec) + _ulp(aj, prec), prec)
 
 
@@ -344,8 +340,10 @@ def duke_statistic(D: int, precision: int = 53) -> HP:
         return _duke_statistic_mp(D, precision)
     coeffs = _J_coeff_floats(24)
     total = 0.0
+    h6 = 0  # 6 H(D) = sum of 6/|stab| over the same forms
     for F in enumerate_reduced(D):
         w = stabilizer_order(F)
+        h6 += 6 // w
         alpha = complex(-F.b, math.sqrt(D)) / (2 * F.a)
         q = cmath.exp(2j * math.pi * alpha)
         tail = 0.0j
@@ -355,7 +353,7 @@ def duke_statistic(D: int, precision: int = 53) -> HP:
             total += tail.real  # w = 1 out here; 1/q cancels against e(-alpha)
         else:
             total += (tail + 1.0 / q).real / w
-    h = hurwitz(D)
+    h = Fraction(h6, 6)
     val = total / (h.numerator / h.denominator)
     return HP(mp.mpf(val), 1e-9 * (abs(val) + 1.0), 53)
 
@@ -366,8 +364,10 @@ def _duke_statistic_mp(D: int, precision: int) -> HP:
     J = bigJ_series(nmax + 1)
     with mp.workprec(precision + 16):
         total = mp.mpf(0)
+        h6 = 0
         for F in enumerate_reduced(D):
             w = stabilizer_order(F)
+            h6 += 6 // w
             alpha = _alpha_of(F, precision)
             q = mp.e ** (2j * mp.pi * alpha)
             tail = mp.mpc(0)
@@ -378,7 +378,7 @@ def _duke_statistic_mp(D: int, precision: int) -> HP:
                 total += tail.real
             else:
                 total += (tail + 1 / q).real / w
-        h = hurwitz(D)
+        h = Fraction(h6, 6)
         val = total * h.denominator / h.numerator
     return HP(val, 2.0 ** (-precision + 12) * (abs(float(val)) + 1.0), precision)
 
@@ -468,10 +468,11 @@ def regularized_average(f_spec) -> HP:
 
 
 def beta_integral(s, precision: int = 53) -> HP:
-    """beta(s) = integral over t >= 1 of t^(-3/2) e^(-st) dt.
+    """beta(s) = integral over t >= 1 of t^(-3/2) e^(-st) dt, the
+    generalized exponential integral E_{3/2}(s).
 
-    Substituting u = t^(-1/2) gives 2 * integral_0^1 e^(-s/u^2) du: a
-    finite interval with a bounded smooth integrand.
+    mpmath evaluates E_{3/2} to its working precision, so at 24 guard
+    bits the bound is one rounding at `precision`.
     """
     s = float(s)
     if s < 0:
@@ -480,12 +481,5 @@ def beta_integral(s, precision: int = 53) -> HP:
         return HP(2, 0.0, precision)
     p = max(precision, 53)
     with mp.workprec(p + 24):
-        sm = mp.mpf(s)
-
-        def h(u):
-            if u <= 0:
-                return mp.mpf(0)
-            return 2 * mp.e ** (-sm / (u * u))
-
-        val, est = mp.quad(h, [0, 1], error=True)
-    return HP(val, float(est) * 4 + _ulp(abs(float(val)) + 1.0, p), precision)
+        val = mp.expint(1.5, s)
+    return HP(val, _ulp(abs(float(val)), p), precision)

@@ -75,12 +75,6 @@ class QSeries:
         """First unknown exponent (Fraction), or inf for exact series."""
         return inf if self.trunc is inf else Fraction(self.trunc, self.denom)
 
-    def val(self):
-        """Lowest exponent with a (known-)nonzero coefficient, or None."""
-        if not self.terms:
-            return None
-        return Fraction(min(self.terms), self.denom)
-
     def coeff(self, exponent) -> Fraction:
         x = _as_frac(exponent)
         if x >= self.truncation_order:
@@ -400,8 +394,8 @@ _EISEN_COEF = {
 
 @lru_cache(maxsize=None)
 def _sigma(n: int, k: int) -> int:
-    """sum of d^k over the divisors d of n (memoized: the CM evaluation
-    asks for every n of every form)."""
+    """sum of d^k over the divisors d of n (memoized: the Eisenstein
+    series and sigma1 ask again for the same n)."""
     s = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:

@@ -1,10 +1,12 @@
 """Numerical theta lift against the Kudla-Millson kernel.
 
-theta_kernel sums km_value over a dual coset of the lattice with a
-certified Gaussian tail; theta_integral pairs the kernel with a weakly
-holomorphic input over the modular curve; fourier_extract reads trace
-coefficients off the lift; eisen_prediction gives the closed-form target
-for the lift of the constant function.
+theta_kernel sums the terms (v s^2 - 1/(2 pi)) e^{-pi v M} e(q(X) u),
+built from _s_q_majorant's s, q(X) and majorant M, over a dual coset of
+the lattice with a certified Gaussian tail (lattice.km_value is the same
+term for one X, the tests' scalar reference); theta_integral pairs the
+kernel with a weakly holomorphic input over the modular curve;
+fourier_extract reads trace coefficients off the lift; eisen_prediction
+gives the closed-form target for the lift of the constant function.
 
 All bulk numerics are float64/numpy in a fixed summation order (single
 threaded, deterministic); the high-precision path (small tolerances, e.g.
@@ -214,8 +216,9 @@ def _resolve_h(spec: LatticeSpec, h):
 
 def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
                  precision: int = None) -> HP:
-    """Sum of km_value over the dual coset h + L, with certified truncation
-    error <= tol.  Float64 path for ordinary tolerances, mpmath otherwise."""
+    """Sum of the Kudla-Millson terms (km_value of each X) over the dual
+    coset h + L, with certified truncation error <= tol.  Float64 path for
+    ordinary tolerances, mpmath otherwise."""
     if spec is None:
         spec = _LEVEL4
     hv = _resolve_h(spec, h)
@@ -409,10 +412,11 @@ def eisen_prediction(tau, tol: float = 1e-10) -> HP:
         while 8 * math.exp(-math.pi * Nmax * Nmax * v / 2.0) >= tol / 4:
             Nmax += 1
         pref = 1 / (8 * mp.pi * mp.sqrt(mp.mpf(v)))
-        for N in range(-Nmax, Nmax + 1):
+        for N in range(Nmax + 1):
+            mult = 2 if N else 1  # N and -N give the same term
             b = beta_integral(math.pi * N * N * v, precision=70)
-            total += pref * mp.mpf(b.value) * mp.e ** (-2j * mp.pi * N * N * sig / 4)
-            err += float(pref) * b.error_bound
+            total += mult * pref * mp.mpf(b.value) * mp.e ** (-2j * mp.pi * N * N * sig / 4)
+            err += mult * float(pref) * b.error_bound
         err += 8 * math.exp(-math.pi * Nmax * Nmax * v / 2.0) * float(pref)
         out = HP(total, err + 1e-16 * (1 + abs(complex(total))), 53)
     return out

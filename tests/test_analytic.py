@@ -74,8 +74,9 @@ class TestEvalModular:
 
     @pytest.mark.parametrize("prec", [64, 80, 200, 1000])
     def test_bound_holds_at_rho(self, prec):
-        # j has a triple zero at rho = alpha of [36, 36, 36] (D = 3888), so
-        # E4's error there cannot be charged relative to |E4|
+        # j has a triple zero at rho = alpha of [36, 36, 36] (D = 3888): there
+        # u = 1 + 256 f vanishes in j = u^3 / f, so u's error cannot be
+        # charged relative to |u|
         tau = _alpha_of(QuadForm(36, 36, 36), prec)
         v = _j_certified(tau, prec)
         assert abs(v.value) <= v.error_bound
@@ -91,6 +92,35 @@ class TestEvalModular:
             eval_modular("j", mp.mpc(0, 0.5), 64)
         with pytest.raises(ValueError):
             eval_modular("Jx", mp.mpc(0, 1), 64)
+
+
+def _kernel_points(prec):
+    # rho, i, the arc |tau| = 1, both edges Re tau = -1/2 and 1/2, and high
+    # up the cusp, where |j| ~ e^{2 pi Im tau} outgrows 2^prec
+    with mp.workprec(prec + 40):
+        pts = [mp.mpc(-0.5, mp.sqrt(3) / 2), mp.mpc(0, 1)]
+        pts += [mp.expjpi(mp.mpf(t)) for t in (0.36, 0.42, 0.58, 0.64)]
+        pts += [mp.mpc(x, y) for x in (-0.5, 0.5) for y in (0.9, 1.5, 4)]
+        pts += [mp.mpc(0.1234, y) for y in (2, 12, 40, 80, 110)]
+    return pts
+
+
+class TestJKernel:
+    @pytest.mark.parametrize("prec", [64, 200, 1000, 1400])
+    def test_within_bound_against_kleinj(self, prec):
+        for tau in _kernel_points(prec):
+            v = _j_certified(tau, prec)
+            with mp.workprec(prec + 160):
+                ref = 1728 * mp.kleinj(tau)
+                assert abs(v.value - ref) <= v.error_bound, (tau, prec)
+                # the radius is a float: below the float range it is the
+                # sub-denormal floor that _ulp adds, here and on rounding
+                assert v.error_bound <= max(mp.ldexp(abs(ref) + 1, 16 - prec), 2 * 5e-324), (tau, prec)
+
+    def test_radius_inf_where_q_underflows(self):
+        # |q| = e^{-260 pi} < 2^-1074 and |j| > 1e308: no error, radius inf
+        v = _j_certified(mp.mpc(0.25, 130), 1200)
+        assert math.isinf(v.error_bound)
 
 
 class TestEvalQexpansion:
@@ -356,6 +386,17 @@ class TestBeta:
         b = beta_integral(s)
         cf = 2 * (math.exp(-s) - math.sqrt(math.pi * s) * math.erfc(math.sqrt(s)))
         assert abs(float(b.value) - cf) < 1e-12
+
+    @pytest.mark.parametrize("precision", [53, 70])
+    @pytest.mark.parametrize("s", [0.25, 3.0, 20.0, 50.0, 100.0, 157.0])
+    def test_against_quadrature(self, s, precision):
+        # t = 1 + w/s: beta(s) = e^{-s}/s * integral_0^inf (1 + w/s)^{-3/2} e^{-w} dw,
+        # a smooth integrand that a 300-bit quadrature resolves far past 70 bits
+        b = beta_integral(s, precision)
+        with mp.workprec(300):
+            ref = mp.exp(-s) / s * mp.quad(lambda w: (1 + w / s) ** -1.5 * mp.exp(-w), [0, 1, 10, mp.inf])
+            assert abs(b.value - ref) <= b.error_bound
+            assert b.error_bound <= mp.ldexp(ref, 4 - precision)
 
     def test_decay_bound(self):
         for s in (0.1, 0.5, 2.0, 8.0):

@@ -24,6 +24,8 @@ COMMANDS = {
     "trace_J2_200": ["trace", "--f", "J2", "--D", "200"],
     "trace_J_3_600": ["trace", "--f", "J", "--range", "3:600"],
     "trace_J2_3_200": ["trace", "--f", "J2", "--range", "3:200"],
+    "trace_J3_3_100": ["trace", "--f", "J3", "--range", "3:100"],
+    "trace_J_48003": ["trace", "--f", "J", "--D", "48003"],
     "forms_23": ["forms", "--D", "23"],
     "classnum_3_100": ["classnum", "--range", "3:100"],
     "series_g_50": ["series", "--name", "g", "--dmax", "50"],
