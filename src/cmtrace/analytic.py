@@ -209,35 +209,15 @@ def _alpha_of(form: QuadForm, prec: int):
         return mp.mpc(-form.b, mp.sqrt(form.D)) / (2 * form.a)
 
 
-def _min_a_equivalent(rep: QuadForm, p: int) -> QuadForm:
-    """The Gamma_0(p)-equivalent form with p | a minimizing a (hence
-    maximizing Im alpha), found by exact transporter tests."""
-    from .qform import is_gamma0_equivalent
-
-    D = rep.D
-    best = rep
-    a = p
-    while a < best.a:
-        for b in range(-a + 1, a + 1):
-            if (b * b + D) % (4 * a):
-                continue
-            c = (b * b + D) // (4 * a)
-            if c < 1:
-                continue
-            cand = QuadForm(a, b, c)
-            if is_gamma0_equivalent(cand, rep, p):
-                return cand
-        a += p
-    return best
-
-
 def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntry:
     """Sum of f(alpha_Q)/|stab Q| over the level-p orbit representatives of
-    discriminant -D, with certified rounding.
+    discriminant -D, with certified rounding.  For p = 1 these are the
+    reduced forms; for p > 1 each is the least form of its Gamma_0(p)*-orbit
+    (level_p_orbits), the one nearest the cusp by a.
 
     `precision` (default precision_for(D, deg)) is that of the a = 1 form
     and is the one reported; for p = 1 each other form [a, b, c] runs at
-    the fewer bits of _form_precision.
+    the fewer bits of _form_precision, for p > 1 every form runs at it.
     """
     label, coeffs, qexp, deg = _parse_fspec(f_spec)
     if p > 1 and qexp is None:
@@ -250,31 +230,22 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
 
     if p == 1:
         forms = enumerate_reduced(D)
-        total = mp.mpf(0)
-        err = 0.0
-        count = 0
-        with mp.workprec(precision + 32):
-            for F in forms:
-                count += 1
-                if F.b < 0:
-                    continue  # conjugate partner: contributes the same real part
-                w = stabilizer_order(F)
-                mult = 1 if (F.b == 0 or F.b == F.a or F.a == F.c) else 2
-                pF = _form_precision(precision, D, deg, F.a)
-                v = eval_modular(f_spec, _alpha_of(F, pF), pF)
-                total += mult * v.value.real / w
-                err += mult * v.error_bound / w
+        count = len(forms)
+        # a b < 0 form is the conjugate partner of its mirror: the same
+        # real part, counted by mult
+        terms = [(F, 1 if (F.b == 0 or F.b == F.a or F.a == F.c) else 2, stabilizer_order(F),
+                  _form_precision(precision, D, deg, F.a)) for F in forms if F.b >= 0]
     else:
         orbits = level_p_orbits(D, p)
-        total = mp.mpf(0)
-        err = 0.0
         count = len(orbits)
-        with mp.workprec(precision + 32):
-            for o in orbits:
-                F = _min_a_equivalent(o.form, p)
-                v = eval_qexpansion(qexp, _alpha_of(F, precision), precision)
-                total += v.value.real / o.stabilizer_order
-                err += v.error_bound / o.stabilizer_order
+        terms = [(o.form, 1, o.stabilizer_order, precision) for o in orbits]
+    total = mp.mpf(0)
+    err = 0.0
+    with mp.workprec(precision + 32):
+        for F, mult, w, bits in terms:
+            v = eval_modular(f_spec, _alpha_of(F, bits), bits)
+            total += mult * v.value.real / w
+            err += mult * v.error_bound / w
 
     num = HP(total, err + 4 * _ulp(abs(float(total)) + 1.0, precision), precision)
     # traces land in (1/12)Z (stabilizer orders divide 12's divisor lattice);

@@ -19,13 +19,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from .reports import rational_str
 
 
 def _canonical(obj):
     """JSON-safe canonical form: rationals become 'num/den' strings."""
     if isinstance(obj, Fraction):
-        # must agree byte-for-byte with the table renderer's rational cells
-        return str(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
+        return rational_str(obj)
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):

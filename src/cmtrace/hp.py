@@ -33,8 +33,10 @@ class HP:
             self.value = (mp.mpc if is_complex else mp.mpf)(value)
         self.error_bound = float(error_bound)  # bound on |true - value|
         if self.value != value:  # conversion rounded: charge one ulp
+            # a nonzero value never rounds to 0, so a magnitude that
+            # underflows the float range is charged _ulp's 5e-324 floor
             mag = float(abs(self.value)) if is_complex else abs(float(self.value))
-            self.error_bound += _ulp(mag or 1.0, self.prec)
+            self.error_bound += _ulp(mag, self.prec)
         if not self.error_bound >= 0:  # also rejects nan
             raise ValueError("error bound must be nonnegative")
 

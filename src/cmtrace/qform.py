@@ -134,7 +134,7 @@ def reduce(Q: QuadForm) -> QuadForm:
 def stabilizer_order(Q: QuadForm) -> int:
     """Order of the PSL2(Z)-stabilizer: 3 at the order-3 elliptic point,
     2 at i, else 1."""
-    R = reduce(Q)
+    R = Q if Q.is_reduced() else reduce(Q)
     if R.a == R.b == R.c:
         return 3
     if R.b == 0 and R.a == R.c:
@@ -176,7 +176,9 @@ def transporter(Q1: QuadForm, Q2: QuadForm):
     """All g in PSL2(Z) with g.Q1 = Q2 (empty if inequivalent).
 
     Positive definiteness makes this set finite: it is a coset of the
-    stabilizer of the common reduced form, so at most 3 matrices.
+    stabilizer of the common reduced form, so at most 3 matrices.  The
+    library names Gamma_0(p)-classes by gamma0_class; this explicit set is
+    the independent reference the tests check it against.
     """
     R1, g1 = reduce_with_transform(Q1)
     R2, g2 = reduce_with_transform(Q2)
@@ -189,11 +191,6 @@ def transporter(Q1: QuadForm, Q2: QuadForm):
         if g not in out:
             out.append(g)
     return out
-
-
-def is_gamma0_equivalent(Q1: QuadForm, Q2: QuadForm, p: int) -> bool:
-    """Exact Gamma_0(p)-equivalence via the finite transporter set."""
-    return any(g[1][0] % p == 0 for g in transporter(Q1, Q2))
 
 
 # ---------------------------------------------------------------------------
@@ -302,114 +299,89 @@ def _proj_labels(p: int):
 
 
 def _normalize_label(r: int, s: int, p: int):
-    r %= p
     s %= p
-    if s % p:
-        inv = pow(s, -1, p)
-        return ((r * inv) % p, 1)
-    return (1, 0)
+    return (r * pow(s, -1, p) % p, 1) if s else (1, 0)
 
 
-def _lift_label_to_sl2(label, p: int):
-    """Some g in SL2(Z) whose bottom row is `label` mod p."""
-    r, s = label
-    if s == 0:
-        r, s = 1, p  # (1,0) mod p, coprime lift
-    elif r == 0:
-        r, s = p, 1
-    # labels are (k,1) or the two lifts above, so gcd(r,s) = 1 already;
-    # complete (r, s) to [[x, y], [r, s]] with xs - yr = 1
-    x, y = _bezout(s, -r)
-    assert x * s - y * r == 1
-    return ((x, y), (r, s))
+def _label_orbit(label, sig, p: int):
+    """The orbit of a label under right multiplication of bottom rows by
+    <sig>, the stabilizer generator of a reduced form (None: trivial)."""
+    orbit = [label]
+    while sig is not None:
+        r, s = orbit[-1]
+        nxt = _normalize_label(r * sig[0][0] + s * sig[1][0], r * sig[0][1] + s * sig[1][1], p)
+        if nxt == label:
+            break
+        orbit.append(nxt)
+    return orbit
 
 
-def _bezout(a, b):
-    """(x, y) with x*a + y*b = gcd = 1 (callers guarantee coprimality)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+def gamma0_class(Q: QuadForm, p: int):
+    """(R, l): the reduced form R of Q and a label l that together name
+    Q's Gamma_0(p)-class, for p = 1 or prime.
+
+    Q = h.R for h = g^{-1}, where g.Q = R; the label is the least point of
+    the <sigma_R>-orbit of h's bottom row in P^1(F_p).  It is a class
+    invariant: Gamma_0(p) on the left keeps that row mod p up to a scalar,
+    and Stab(R) on the right moves it along the orbit.
+    """
+    R, g = reduce_with_transform(Q)
+    label = _normalize_label(-g[1][0], g[0][0], p)
+    return R, min(_label_orbit(label, _stab_generator(R), p))
+
+
+def is_gamma0_equivalent(Q1: QuadForm, Q2: QuadForm, p: int) -> bool:
+    """Exact Gamma_0(p)-equivalence: equal class keys."""
+    return gamma0_class(Q1, p) == gamma0_class(Q2, p)
 
 
 def level_p_orbits(D: int, p: int):
-    """Representatives of forms with p | a under the Fricke extension of
-    Gamma_0(p), with stabilizer orders in that group.
+    """Representatives of forms with p | a under the Fricke extension
+    Gamma_0(p)* of Gamma_0(p), with stabilizer orders in that group.  Each
+    representative is the least form [a, b, c] of its Gamma_0(p)*-orbit in
+    (a, b) order, b in (-a, a], and the list ascends in that order.
 
     Structure: within one SL2(Z)-class with reduced representative R, the
     Gamma_0(p)-classes of p|a forms correspond to orbits of the stabilizer
     <sigma_R> acting on the labels {(r,s) in P^1(F_p) : R(s,-r) = 0 mod p}
-    (the label of g is its bottom row; a_{g.R} = R(s,-r)).  The Fricke
-    involution then pairs or fixes Gamma_0(p)-classes; a fixed class gets
-    its stabilizer doubled.
+    (the label of g is its bottom row; a_{g.R} = R(s,-r)), with stabilizer
+    order w / (orbit length).  One ascending scan over a = p, 2p, ... gives
+    each class its least form.  The Fricke involution then pairs or fixes
+    classes: a pair keeps its lesser form, a fixed class doubles its
+    stabilizer.
     """
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError("p must be prime")
     if D <= 0 or D % 4 in (1, 2):
         return []
 
-    # Gamma_0(p) classes, grouped by SL2-class
-    classes = []  # (rep_form, stab_order_in_gamma0p)
+    stab = {}  # gamma0_class key -> stabilizer order in Gamma_0(p)
     for R in enumerate_reduced(D):
-        labels = [
-            lab
-            for lab in _proj_labels(p)
-            if (R.a * lab[1] * lab[1] - R.b * lab[1] * lab[0] + R.c * lab[0] * lab[0]) % p == 0
-        ]
-        if not labels:
-            continue
         w = stabilizer_order(R)
         sig = _stab_generator(R)
-        # orbits of <sigma> on labels via right multiplication of bottom rows
-        seen = set()
-        for lab in labels:
-            if lab in seen:
-                continue
-            orbit = []
-            cur = lab
-            while cur not in orbit:
-                orbit.append(cur)
-                if sig is None:
-                    break
-                r, s = cur
-                cur = _normalize_label(r * sig[0][0] + s * sig[1][0], r * sig[0][1] + s * sig[1][1], p)
-            seen.update(orbit)
-            g = _lift_label_to_sl2(orbit[0], p)
-            Qrep = apply_gl2(g, R)
-            assert Qrep.a % p == 0
-            # T-normalize b into (-a, a] for a deterministic representative
-            _, brep, crep = _translate_b(Qrep.a, Qrep.b, Qrep.c)
-            Qrep = QuadForm(Qrep.a, brep, crep)
-            stab = w // len(orbit) if sig is not None else 1
-            classes.append((Qrep, stab))
+        for lab in _proj_labels(p):
+            if R(lab[1], -lab[0]) % p == 0:
+                orbit = _label_orbit(lab, sig, p)
+                stab[R, min(orbit)] = w // len(orbit)
 
-    # fold under the Fricke involution
+    least = {}  # the same keys, in ascending order of their least forms
+    a = p
+    while len(least) < len(stab):
+        for b in range(-a + 1, a + 1):
+            if (b * b + D) % (4 * a) == 0:
+                Q = QuadForm(a, b, (b * b + D) // (4 * a))
+                least.setdefault(gamma0_class(Q, p), Q)
+        a += p
+
     reps = []
-    used = [False] * len(classes)
-    for i, (Qi, si) in enumerate(classes):
-        if used[i]:
+    folded = set()
+    for key, Q in least.items():
+        if key in folded:
             continue
-        used[i] = True
-        W = fricke_image(Qi, p)
-        if is_gamma0_equivalent(W, Qi, p):
-            stab = 2 * si  # Fricke-fixed class: involution joins the stabilizer
-        else:
-            stab = si
-            for j in range(i + 1, len(classes)):
-                if not used[j] and is_gamma0_equivalent(W, classes[j][0], p):
-                    used[j] = True
-                    break
-            else:
-                raise AssertionError("Fricke image did not land in any class")
-        if stab not in (1, 2, 3, 4, 6):
-            raise AssertionError(f"stabilizer order {stab} outside {{1,2,3,4,6}}")
-        reps.append(OrbitRep(Qi, stab))
-    reps.sort(key=lambda r: (r.form.a, r.form.b, r.form.c))
+        partner = gamma0_class(fricke_image(Q, p), p)
+        folded.update((key, partner))
+        s = stab[key] * (2 if partner == key else 1)
+        if s not in (1, 2, 3, 4, 6):
+            raise AssertionError(f"stabilizer order {s} outside {{1,2,3,4,6}}")
+        reps.append(OrbitRep(Q, s))
     return reps

@@ -33,7 +33,7 @@ from cmtrace.analytic import (
     trace,
     trace_table,
 )
-from cmtrace.qform import QuadForm, enumerate_reduced, hurwitz
+from cmtrace.qform import QuadForm, enumerate_reduced, fricke_image, hurwitz, level_p_orbits
 from cmtrace.series import QSeries, eta, faber_poly, g_series, t_series
 
 SQ3 = math.sqrt(3)
@@ -185,9 +185,22 @@ class TestTrace:
         assert float(e.value_numeric.value) == pytest.approx(-3493982, abs=1e-3)
 
 
-def _fricke_hauptmodul():
-    A = eta(60, 1) ** 24 / eta(60, 2) ** 24
+def _fricke_hauptmodul(n: int = 60):
+    A = eta(n, 1) ** 24 / eta(n, 2) ** 24
     return A + QSeries.exact({0: 24}) + 4096 * A.reciprocal()
+
+
+def _fricke_hauptmodul_trace(D: int):
+    # the same Hauptmodul untruncated, A by mpmath's q-Pochhammer product,
+    # summed at the Fricke image of each representative: another point of
+    # its orbit, so the sum does not depend on which form represents it
+    with mp.workprec(300):
+        total = mp.mpf(0)
+        for o in level_p_orbits(D, 2):
+            q = mp.exp(2j * mp.pi * _alpha_of(fricke_image(o.form, 2), 300))
+            A = (mp.qp(q) / mp.qp(q * q)) ** 24 / q
+            total += (A + 24 + 4096 / A).real / o.stabilizer_order
+        return total
 
 
 class TestLevelTraces:
@@ -220,6 +233,24 @@ class TestLevelTraces:
             e = trace(T2, D, p=2)
             assert e.precision == precision_for(D), D
             assert e.certified and e.value_rounded == want, D
+
+    @pytest.mark.parametrize("D, want", [(84, -1788112), (116, -22252856)])
+    def test_least_form_representatives_certify(self, D, want):
+        # each orbit is evaluated at its form nearest the cusp, where the
+        # expansion through q^60 converges
+        e = trace(_fricke_hauptmodul(), D, p=2)
+        assert e.certified and e.value_rounded == want
+        assert abs(_fricke_hauptmodul_trace(D) - want) < 1e-20
+
+    def test_least_form_representatives_certify_large_D(self):
+        # a = 28 keeps |q| below 0.03; a form of the same orbit with
+        # a = 252 has |q| = 0.67, where no truncation of the expansion
+        # converges
+        want = -4128446190315309503576
+        assert max(o.form.a for o in level_p_orbits(1004, 2)) == 28
+        e = trace(_fricke_hauptmodul(200), 1004, p=2)
+        assert e.certified and e.value_rounded == want
+        assert abs(_fricke_hauptmodul_trace(1004) - want) < 1e-20
 
     def test_level_requires_qexp(self):
         with pytest.raises(ValueError):

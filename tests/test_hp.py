@@ -4,6 +4,7 @@ and bound validation."""
 import mpmath as mp
 import pytest
 
+from cmtrace.analytic import beta_integral
 from cmtrace.hp import HP, _ulp
 
 
@@ -61,3 +62,19 @@ def test_ulp_past_1075_bits():
     # 2.0 ** (1 - prec) is 0.0 here; the rounding step must not vanish
     assert _ulp(2.0 ** 1000, 1100) == 2.0 ** -99 + 5e-324
     assert _ulp(float("inf"), 1200) == float("inf")
+
+
+def test_rounding_below_float_range_charged_absolute_floor():
+    # |value| underflows a float; its rounding step is far below 5e-324,
+    # not the 2^(1-prec) of a unit-size value
+    with mp.workprec(200):
+        x = mp.mpf(1) / 3 * mp.mpf(10) ** -400
+        ref = mp.expint(1.5, 800)
+    r = HP(x, 0.0, 53)
+    assert r.value != x and r.error_bound <= 1e-320
+    with mp.workprec(200):
+        assert abs(r.value - x) <= r.error_bound
+    b = beta_integral(800)  # about 4.6e-351
+    assert b.error_bound <= 1e-320
+    with mp.workprec(200):
+        assert abs(b.value - ref) <= b.error_bound

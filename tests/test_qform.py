@@ -205,8 +205,47 @@ def test_gamma0_equivalence_vs_bfs():
     assert is_gamma0_equivalent(QuadForm(1, 5, 7), QuadForm(1, 1, 1), 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(1, 30),
+    b=st.integers(-60, 60),
+    c=st.integers(1, 40),
+    n=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    p=st.sampled_from([1, 2, 3, 5, 7]),
+)
+def test_gamma0_class_matches_transporter(a, b, c, n, p):
+    # the class key against the reference: some matrix carrying Q1 to Q2
+    # lies in Gamma_0(p)
+    if b * b - 4 * a * c >= 0:
+        return
+    Q1 = QuadForm(a, b, c)
+    Q2 = apply_gl2(((1, n[2]), (0, 1)), apply_gl2(((1, 0), (n[1], 1)), apply_gl2(((1, n[0]), (0, 1)), Q1)))
+    want = any(g[1][0] % p == 0 for g in transporter(Q1, Q2))
+    assert is_gamma0_equivalent(Q1, Q2, p) == want
+
+
 # ---------------------------------------------------------------------------
 # level-p orbits
+
+def _gamma0_star_equivalent(Q1, Q2, p):
+    # reference: a transporter into Gamma_0(p), to Q2 or its Fricke image
+    return any(g[1][0] % p == 0 for W in (Q2, fricke_image(Q2, p)) for g in transporter(Q1, W))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_level_p_reps_are_least_forms(p):
+    # no form [a, b, c] with p | a and b in (-a, a] that comes before a
+    # representative in (a, b) order lies in its Gamma_0(p)*-orbit
+    for D in range(3, 400):
+        for o in level_p_orbits(D, p):
+            R = o.form
+            assert -R.a < R.b <= R.a
+            for a in range(p, R.a + 1, p):
+                for b in range(-a + 1, a + 1 if a < R.a else R.b):
+                    if (b * b + D) % (4 * a) == 0:
+                        F = QuadForm(a, b, (b * b + D) // (4 * a))
+                        assert not _gamma0_star_equivalent(F, R, p), (D, F, R)
+
 
 def test_level_one_orbits_are_reduced_forms():
     # a level-one trace sums over the reduced forms, each weighted by
