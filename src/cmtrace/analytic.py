@@ -399,6 +399,17 @@ def _f_grid_evaluator(f_spec):
     return f_vals, deg, abs(fc[-1])
 
 
+def _fd_columns(n: int, ya: float = None, yb: float = None):
+    """Yield (x, wx, ys, wys) for each column of the degree-n tensor
+    Gauss-Legendre rule on one panel of the fundamental domain folded onto
+    x in [0, 1/2] (the integrands are even in x): the arc panel, y from
+    sqrt(1 - x^2) to 1, when ya is None, else the strip ya <= y <= yb."""
+    g, w = np.polynomial.legendre.leggauss(n)
+    for x, wx in zip(0.25 * (g + 1.0), 0.25 * w):
+        y0, y1 = (math.sqrt(1.0 - x * x), 1.0) if ya is None else (ya, yb)
+        yield x, wx, 0.5 * (y1 - y0) * (g + 1.0) + y0, 0.5 * (y1 - y0) * w
+
+
 def regularized_average(f_spec) -> HP:
     """(3/pi) * regularized integral of f over the modular curve.
 
@@ -412,26 +423,18 @@ def regularized_average(f_spec) -> HP:
     if n0 == 0:  # the constant 1
         return HP(1, 0.0, 53)
 
-    def quad_once(nx, ny):
-        gx, wx = np.polynomial.legendre.leggauss(nx)
-        gy, wy = np.polynomial.legendre.leggauss(ny)
-        # x in [0, 1/2] (integrand even in x), y from circle arc to 1
-        x = 0.25 * (gx + 1.0)
-        wxs = 0.25 * wx
+    def quad_once(n):
         total = 0.0
-        for xi, wxi in zip(x, wxs):
-            y0 = math.sqrt(1.0 - xi * xi)
-            y = 0.5 * (1.0 - y0) * (gy + 1.0) + y0
-            wys = 0.5 * (1.0 - y0) * wy
-            vals = f_vals(np.full_like(y, xi), y).real / (y * y)
-            total += wxi * float(np.dot(wys, vals))
+        for x, wx, y, wy in _fd_columns(n):
+            vals = f_vals(np.full_like(y, x), y).real / (y * y)
+            total += wx * float(np.dot(wy, vals))
         return 2.0 * total  # unfold x-symmetry
 
-    prev = quad_once(24, 24)
-    cur = quad_once(48, 48)
+    prev = quad_once(24)
+    cur = quad_once(48)
     change = abs(cur - prev)
     if change > 1e-10 * (abs(cur) + 1):
-        prev, cur = cur, quad_once(96, 96)
+        prev, cur = cur, quad_once(96)
         change = abs(cur - prev)
     val = (3.0 / math.pi) * cur
     eb = (3.0 / math.pi) * change + 1e-11 * (abs(val) + 1.0)

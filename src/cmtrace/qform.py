@@ -221,15 +221,8 @@ def hurwitz(D: int) -> Fraction:
         raise ValueError("D must be >= 0")
     if D == 0:
         return Fraction(-1, 12)
-    total = Fraction(0)
-    for f in enumerate_reduced(D):
-        if f.a == f.b == f.c:
-            total += Fraction(1, 3)
-        elif f.b == 0 and f.a == f.c:
-            total += Fraction(1, 2)
-        else:
-            total += 1
-    return total
+    # each form counts 1/stabilizer_order: 1/3, 1/2 or 1, in sixths
+    return Fraction(sum(6 // stabilizer_order(f) for f in enumerate_reduced(D)), 6)
 
 
 def hurwitz_table(Dmax: int):

@@ -53,18 +53,13 @@ def bessel_i(nu, x, precision: int = 53) -> HP:
 
     Power series for moderate arguments (all terms positive, so no
     cancellation at any size), asymptotic expansion with a first-omitted-
-    term remainder for large ones; the half-integer closed form
-    I_{1/2}(z) = sqrt(2/(pi z)) sinh(z) is used directly.
+    term remainder for large ones (poincare's large m, n).
     """
     if x < 0:
         raise ValueError("x >= 0")
     if x == 0:
         return HP(0 if nu > 0 else 1, 0.0, precision)
     p = precision + 16
-    if nu == 0.5:
-        with mp.workprec(p):
-            v = mp.sqrt(2 / (mp.pi * x)) * mp.sinh(x)
-        return HP(v, 8 * _ulp(abs(float(v)), p), precision)
     if x > max(50.0, 4.0 * float(nu) * float(nu)):
         return _bessel_i_asymptotic(nu, x, precision)
     with mp.workprec(p):

@@ -15,8 +15,10 @@ vanishing certificates) runs the same enumeration under mpmath.
 The enumerator works on many quadrature nodes at once: the quadrature
 hands it a whole column (the y-nodes sharing one x), each with its own
 tolerance, and every point carries its node's index through the row
-expansion.  Each node's grouped sums equal, bit for bit, those of the node
-enumerated alone; theta_kernel and the mpmath sum pass a single node.
+expansion into one node x q table of sums.  Each node's row equals, bit for
+bit, the sums of the node enumerated alone; theta_kernel and the mpmath sum
+pass a single node.  The quadrature weights the rows after binning and
+applies the phases e(q u) once per column.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .analytic import _f_grid_evaluator, beta_integral
+from .analytic import _f_grid_evaluator, _fd_columns, beta_integral
 from .hp import HP
 from .lattice import LatticeSpec, LatticeVector
 from .qform import hurwitz
@@ -139,14 +141,15 @@ def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float, x, y, tol):
     """Coset sums of km over h + L at u = 0, grouped by q(X), at every node
     z = x + iy with its own tolerance (x, y, tol float64 arrays).
 
-    Returns one (q, sums, tail) per node: sums[i] multiplies e(q[i] u), q
-    running over a grid of step 1/4; tail is a certified bound on the
-    dropped terms.  A node without points gets q = sums = [0].
+    Returns (q, sums, tails): q is one grid of step 1/4 spanning every
+    node's q(X), sums[i, j] multiplies e(q[j] u) at node i, and tails[i]
+    is a certified bound on node i's dropped terms.  A column without
+    points gets q = [0].
     """
     chol = _local_cholesky(x, y, spec.steps)
     qs = np.column_stack(chol[:3]).tolist()
     T = [_pick_threshold(v, qn, tn) for qn, tn in zip(qs, tol.tolist())]
-    tails = [_tail_bound(Tn, v, qn) for Tn, qn in zip(T, qs)]
+    tails = np.array([_tail_bound(Tn, v, qn) for Tn, qn in zip(T, qs)])
     T = np.array(T)
 
     node, _, X = _coset_points(spec, h, T, chol)
@@ -156,19 +159,11 @@ def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float, x, y, tol):
     tv = (v * s_ * s_ - _C) * np.exp(-math.pi * v * M)
     qq = np.rint(4.0 * qv).astype(np.int64)
 
-    # node i owns bins end[i] - width[i] .. end[i] - 1, one per 4q in lo[i]..hi[i]
-    lo = np.zeros(x.size, dtype=np.int64)
-    hi = np.zeros(x.size, dtype=np.int64)
-    first = np.flatnonzero(np.diff(node, prepend=-1))
-    if first.size:
-        lo[node[first]] = np.minimum.reduceat(qq, first)
-        hi[node[first]] = np.maximum.reduceat(qq, first)
-    width = hi - lo + 1
-    end = np.cumsum(width)
-    start = end - width
-    sums = np.bincount(start[node] + qq - lo[node], weights=tv, minlength=int(end[-1]))
-    q = (np.arange(sums.size) + np.repeat(lo - start, width)) / 4.0
-    return [(q[a:b], sums[a:b], t) for a, b, t in zip(start.tolist(), end.tolist(), tails)]
+    lo, w = (int(qq.min()), int(qq.max() - qq.min()) + 1) if qq.size else (0, 1)
+    # points come node after node, so each cell adds its terms in the order
+    # the node alone would
+    sums = np.bincount(node * w + qq - lo, weights=tv, minlength=x.size * w)
+    return (lo + np.arange(w)) / 4.0, sums.reshape(x.size, w), tails
 
 
 def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
@@ -214,14 +209,11 @@ def _resolve_h(spec: LatticeSpec, h):
     return cs[h]
 
 
-def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
-                 precision: int = None) -> HP:
+def theta_kernel(h, tau, z, tol: float = 1e-10, precision: int = None) -> HP:
     """Sum of the Kudla-Millson terms (km_value of each X) over the dual
-    coset h + L, with certified truncation error <= tol.  Float64 path for
-    ordinary tolerances, mpmath otherwise."""
-    if spec is None:
-        spec = _LEVEL4
-    hv = _resolve_h(spec, h)
+    coset h + L of the level-4 lattice, with certified truncation error
+    <= tol.  Float64 path for ordinary tolerances, mpmath otherwise."""
+    hv = _resolve_h(_LEVEL4, h)
     tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
     zz = complex(z.value) if isinstance(z, HP) else complex(z)
     if tt.imag <= 0 or zz.imag <= 0:
@@ -230,14 +222,14 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, spec: LatticeSpec = None,
         raise ValueError("tol > 0 required")
 
     if tol >= 1e-12 and precision is None:
-        ((qq, sums, tail),) = _enumerate_qsums(spec, hv, tt.imag, np.array([zz.real]),
-                                               np.array([zz.imag]), np.array([tol]))
-        val = complex(np.sum(sums * np.exp(2j * math.pi * qq * tt.real)))
-        err = tail + 1e-14 * (float(np.abs(sums).sum()) + 1.0)
+        qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, tt.imag, np.array([zz.real]),
+                                           np.array([zz.imag]), np.array([tol]))
+        val = complex(np.sum(sums[0] * np.exp(2j * math.pi * qq * tt.real)))
+        err = float(tails[0]) + 1e-14 * (float(np.abs(sums[0]).sum()) + 1.0)
         return HP(mp.mpc(val), err, 53)
 
     prec = precision or max(64, int(-math.log2(tol)) + 48)
-    val, err = _enumerate_sum_mp(spec, hv, tt, zz, tol, prec)
+    val, err = _enumerate_sum_mp(_LEVEL4, hv, tt, zz, tol, prec)
     return HP(val, err, prec)
 
 
@@ -263,63 +255,57 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
     """I_h(u_j + i v) for every u_j in us, sharing one quadrature pass.
 
     Returns (values complex ndarray, certified-ish error bound float).
-    The domain is folded onto x >= 0 (kernel is even in x together with
-    X -> (x1, -x2, -x3) ... net: theta(tau, -zbar) = theta(tau, z)), so the
-    input enters through 2 Re f.
+    The domain is folded onto x >= 0 (theta(tau, -zbar) = theta(tau, z),
+    via X -> (x1, -x2, -x3)), so the input enters through 2 Re f.  It is
+    cut at y = Y into the arc panel below y = 1 and unit strips above,
+    each integrated at degree 12 and 18 (27 when those disagree).
     """
     hv = _resolve_h(_LEVEL4, h)
     f_vals, n0, alead = _f_grid_evaluator(f_spec)
     Y = y_top if y_top is not None else _strip_cutoff(v, n0, alead, tol)
     us = np.asarray(us, dtype=float)
 
-    panels = [("arc", 0.0, 1.0)]
+    panels = [(None, None)]  # the arc panel, then unit strips up to Y
     yk = 1.0
     while yk < Y:
-        panels.append(("rect", yk, min(yk + 1.0, Y)))
+        panels.append((yk, min(yk + 1.0, Y)))
         yk += 1.0
 
     vals = np.zeros(us.size, dtype=complex)
     err = _strip_bound(Y, v, n0, alead)
 
-    for kind, ya, yb in panels:
-        base = _panel_quad(kind, ya, yb, 12, hv, v, f_vals, tol, us)
-        fine = _panel_quad(kind, ya, yb, 18, hv, v, f_vals, tol, us)
+    for ya, yb in panels:
+        base = _panel_quad(ya, yb, 12, hv, v, f_vals, tol, us)
+        fine = _panel_quad(ya, yb, 18, hv, v, f_vals, tol, us)
         change = float(np.abs(fine[0] - base[0]).max())
         if change > tol / 6:
             base = fine
-            fine = _panel_quad(kind, ya, yb, 27, hv, v, f_vals, tol, us)
+            fine = _panel_quad(ya, yb, 27, hv, v, f_vals, tol, us)
             change = float(np.abs(fine[0] - base[0]).max())
         vals += fine[0]
         err += change + fine[1]
     return vals, err
 
 
-def _panel_quad(kind, ya, yb, n, hv, v, f_vals, tol, us):
-    """Tensor Gauss-Legendre over one panel; returns (I_j contributions,
-    kernel-truncation error pushed through the measure)."""
-    gx, wx = np.polynomial.legendre.leggauss(n)
-    gy, wy = np.polynomial.legendre.leggauss(n)
-    xs = 0.25 * (gx + 1.0)
-    wxs = 0.25 * wx
+def _panel_quad(ya, yb, n, hv, v, f_vals, tol, us):
+    """Degree-n tensor Gauss-Legendre over one panel (_fd_columns: the arc
+    panel when ya is None, else the strip ya <= y <= yb); returns
+    (I_j contributions, kernel-truncation error pushed through the measure).
+
+    Per column, the node rows of the q table are weighted by the fold, the
+    measure dx dy / y^2 and Re f after binning (weighting each term before
+    binning loses the cancellation inside the q = 0 bin), then take one
+    phase product."""
     out = np.zeros(us.size, dtype=complex)
     kerr = 0.0
-    for xi, wxi in zip(xs, wxs):
-        if kind == "arc":
-            y0 = math.sqrt(1.0 - xi * xi)
-            y1 = 1.0
-        else:
-            y0, y1 = ya, yb
-        ys = 0.5 * (y1 - y0) * (gy + 1.0) + y0
-        wys = 0.5 * (y1 - y0) * wy
-        xcol = np.full_like(ys, xi)
-        fv = f_vals(xcol, ys)
-        tols = tol * ys * ys / (40.0 * (1.0 + np.abs(fv.real)))
-        column = _enumerate_qsums(_LEVEL4, hv, v, xcol, ys, tols)
-        for yj, wyj, fj, (qq, sums, tail) in zip(ys, wys, fv, column):
-            w = 2.0 * wxi * wyj / (yj * yj)  # fold + measure
-            theta_js = np.exp(2j * math.pi * np.outer(us, qq)) @ sums
-            out += w * fj.real * theta_js
-            kerr += abs(w * fj.real) * tail
+    for x, wx, ys, wys in _fd_columns(n, ya, yb):
+        xs = np.full_like(ys, x)
+        fv = f_vals(xs, ys).real
+        tols = tol * ys * ys / (40.0 * (1.0 + np.abs(fv)))
+        qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, v, xs, ys, tols)
+        wf = 2.0 * wx * wys / (ys * ys) * fv  # fold + measure
+        out += np.exp(2j * math.pi * (us[:, None] * qq)) @ (wf @ sums)
+        kerr += float(np.abs(wf) @ tails)
     return out, kerr
 
 

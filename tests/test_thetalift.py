@@ -13,6 +13,7 @@ from cmtrace.thetalift import (
     _enumerate_qsums,
     _integral_profile,
     _local_cholesky,
+    _panel_quad,
     _pick_threshold,
     _strip_cutoff,
     eisen_prediction,
@@ -95,9 +96,9 @@ class TestEnumeration:
     def test_grouped_sums_match_brute_force(self, spec, hi, x, y, v, tol):
         h = spec.cosets()[hi]
         nodes, columns = _nodes(x, y, tol)
-        got_nodes = _enumerate_qsums(spec, h, v, *columns)
+        q, got_nodes, _ = _enumerate_qsums(spec, h, v, *columns)
         assert len(got_nodes) == len(nodes)
-        for (xi, yi, ti), (q, sums, _) in zip(nodes, got_nodes):
+        for (xi, yi, ti), sums in zip(nodes, got_nodes):
             _, X, M = _brute_force(spec, h, xi, yi, _threshold(spec, v, xi, yi, ti))
             s = pair(LatticeVector(*X), x_of_z(complex(xi, yi)))
             terms = (v * s * s - 1 / (2 * math.pi)) * np.exp(-math.pi * v * M)
@@ -125,13 +126,16 @@ class TestEnumeration:
         xs = np.full_like(ys, x)
         fv = _f_grid_evaluator("J")[0](xs, ys)
         tols = 1e-3 * ys * ys / (40.0 * (1.0 + np.abs(fv.real)))
-        column = _enumerate_qsums(spec, h, v, xs, ys, tols)
-        assert len(column) == n
-        for j, (q, sums, tail) in enumerate(column):
-            ((q1, sums1, tail1),) = _enumerate_qsums(spec, h, v, xs[j:j + 1], ys[j:j + 1], tols[j:j + 1])
-            assert q.tobytes() == q1.tobytes()
-            assert sums.tobytes() == sums1.tobytes()
-            assert repr(tail) == repr(tail1)
+        q, column, tails = _enumerate_qsums(spec, h, v, xs, ys, tols)
+        assert column.shape == (n, q.size) and tails.shape == (n,)
+        for j, sums in enumerate(column):
+            q1, (sums1,), (tail1,) = _enumerate_qsums(spec, h, v, xs[j:j + 1], ys[j:j + 1],
+                                                      tols[j:j + 1])
+            own = (q >= q1[0]) & (q <= q1[-1])  # node j's own q-range
+            assert q[own].tobytes() == q1.tobytes()
+            assert sums[own].tobytes() == sums1.tobytes()
+            assert not sums[~own].any()
+            assert repr(tails[j]) == repr(tail1)
 
 
 class TestKernel:
@@ -214,6 +218,33 @@ class TestIntegral:
         a, ea = _integral_profile(1, 1.0, "J", 1e-4, [0.0], y_top=Y)
         b, _ = _integral_profile(1, 1.0, "J", 1e-4, [0.0], y_top=Y + 1.0)
         assert abs(a[0] - b[0]) < ea
+
+    @pytest.mark.parametrize("ya, yb", [(None, None), (1.0, 2.0), (4.0, 5.0)])
+    @pytest.mark.parametrize("us", [[0.25], np.arange(8) / 8])
+    def test_panel_matches_per_node_sums(self, ya, yb, us):
+        # reference: each node enumerated alone, phased, then weighted.  On
+        # the y in [4, 5] strip the panel sum cancels to ~1e-12 of its terms,
+        # so agreement is measured against the terms' magnitude, scale.
+        n, v, tol = 12, 1.5, 1e-4
+        h = LEVEL4.cosets()[0]
+        f_vals = _f_grid_evaluator("J")[0]
+        us = np.asarray(us, dtype=float)
+        g, w = np.polynomial.legendre.leggauss(n)
+        ref, ref_err, scale = np.zeros(us.size, dtype=complex), 0.0, 0.0
+        for x, wx in zip(0.25 * (g + 1.0), 0.25 * w):
+            y0, y1 = (math.sqrt(1.0 - x * x), 1.0) if ya is None else (ya, yb)
+            for y, wy in zip(0.5 * (y1 - y0) * (g + 1.0) + y0, 0.5 * (y1 - y0) * w):
+                f = f_vals(np.array([x]), np.array([y]))[0].real
+                t = tol * y * y / (40.0 * (1.0 + abs(f)))
+                q, (sums,), (tail,) = _enumerate_qsums(LEVEL4, h, v, np.array([x]),
+                                                       np.array([y]), np.array([t]))
+                wf = 2.0 * wx * wy / (y * y) * f
+                ref += wf * (np.exp(2j * math.pi * np.outer(us, q)) @ sums)
+                ref_err += abs(wf) * tail
+                scale += abs(wf) * np.abs(sums).sum()
+        got, err = _panel_quad(ya, yb, n, h, v, f_vals, tol, us)
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+        assert abs(err - ref_err) <= 1e-13 * ref_err
 
     def test_validation(self):
         with pytest.raises(ValueError):
