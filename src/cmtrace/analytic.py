@@ -135,7 +135,7 @@ def eval_modular(f_spec, tau, precision: int = 64) -> HP:
     if qexp is not None:
         return eval_qexpansion(qexp, tau, precision)
     with mp.workprec(precision + 32):  # convert without re-rounding the input
-        tval = mp.mpc(tau.value) if isinstance(tau, HP) else mp.mpc(tau)
+        tval = mp.mpc(tau)
     if float(tval.imag) < math.sqrt(3) / 2 - 1e-12:
         raise ValueError("tau must lie in the fundamental domain (Im >= sqrt(3)/2)")
     if label == "1":
@@ -163,7 +163,7 @@ def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> HP:
     residuals stay honest either way).
     """
     with mp.workprec(precision + 32):
-        tval = mp.mpc(tau.value) if isinstance(tau, HP) else mp.mpc(tau)
+        tval = mp.mpc(tau)
     if float(tval.imag) <= 0:
         raise ValueError("Im tau > 0 required")
     with mp.workprec(precision + 32):

@@ -98,7 +98,7 @@ class LatticeSpec:
 def x_of_z(z) -> LatticeVector:
     """The norm-1 vector spanning the negative line attached to z:
     X(z) = (1/y) [[-x, |z|^2], [-1, x]]."""
-    zz = complex(z.value) if isinstance(z, HP) else complex(z)
+    zz = complex(z)
     x, y = zz.real, zz.imag
     if y <= 0:
         raise ValueError("Im z > 0 required")
@@ -114,7 +114,7 @@ def majorant(X: LatticeVector, z) -> HP:
 
 
 def pair_with_xz(X: LatticeVector, z) -> float:
-    zz = complex(z.value) if isinstance(z, HP) else complex(z)
+    zz = complex(z)
     x, y = zz.real, zz.imag
     return (2 * x * float(X.x1) + float(X.x2) - (x * x + y * y) * float(X.x3)) / y
 
@@ -127,13 +127,13 @@ def km_value(X: LatticeVector, tau, z, precision: int = 53) -> HP:
     with s = (X, X(z)), tau = u + iv.  Its modulus is
     (|v s^2 - 1/(2 pi)|) e^{-pi v majorant(X, z)}.
     """
-    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
+    tt = complex(tau)
     u, v = tt.real, tt.imag
     if v <= 0:
         raise ValueError("Im tau > 0 required")
     p = precision + 16
     with mp.workprec(p):
-        zz = mp.mpc(z.value) if isinstance(z, HP) else mp.mpc(z)
+        zz = mp.mpc(z)
         x, y = zz.real, zz.imag
         if y <= 0:
             raise ValueError("Im z > 0 required")

@@ -214,8 +214,8 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, precision: int = None) -> HP:
     coset h + L of the level-4 lattice, with certified truncation error
     <= tol.  Float64 path for ordinary tolerances, mpmath otherwise."""
     hv = _resolve_h(_LEVEL4, h)
-    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
-    zz = complex(z.value) if isinstance(z, HP) else complex(z)
+    tt = complex(tau)
+    zz = complex(z)
     if tt.imag <= 0 or zz.imag <= 0:
         raise ValueError("Im tau and Im z must be positive")
     if tol <= 0:
@@ -313,7 +313,7 @@ def theta_integral(h, tau, f_spec, tol: float = 1e-4) -> HP:
     """Regularized integral of f(z) theta_h(tau, z) over the level-4
     lattice's modular curve (raw normalization: Fourier coefficients are
     twice the CM traces, the +-X pairs of the kernel both contributing)."""
-    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
+    tt = complex(tau)
     if tt.imag < 0.5:
         raise ValueError("Im tau >= 1/2 required by the truncation design")
     vals, err = _integral_profile(h, tt.imag, f_spec, tol, [tt.real])
@@ -369,7 +369,7 @@ def eisen_prediction(tau, tol: float = 1e-10) -> HP:
 
     with H the Hurwitz class numbers (H(0) = -1/12) and
     beta(s) = integral_1^infty t^{-3/2} e^{-s t} dt."""
-    tt = complex(tau.value) if isinstance(tau, HP) else complex(tau)
+    tt = complex(tau)
     v = tt.imag
     if v < 0.3:
         raise ValueError("Im tau >= 0.3 required")

@@ -1,11 +1,13 @@
 """The HP record: conversion at the declared precision, ulp charging,
-and bound validation."""
+bound validation, and HP records refused where a point is expected."""
 
 import mpmath as mp
 import pytest
 
-from cmtrace.analytic import beta_integral
+from cmtrace import lattice, thetalift
+from cmtrace.analytic import beta_integral, eval_modular, eval_qexpansion
 from cmtrace.hp import HP, _ulp
+from cmtrace.series import g_series
 
 
 def test_real_rounded_to_prec_and_charged_one_ulp():
@@ -78,3 +80,25 @@ def test_rounding_below_float_range_charged_absolute_floor():
     assert b.error_bound <= 1e-320
     with mp.workprec(200):
         assert abs(b.value - ref) <= b.error_bound
+
+
+_I = HP(mp.mpc(0, 1), 1e-3, 64)  # an uncertain point: its radius would be dropped
+_X = lattice.LatticeVector(1, 0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: eval_modular("J", _I), id="eval_modular"),
+    pytest.param(lambda: eval_qexpansion(g_series(5), _I), id="eval_qexpansion"),
+    pytest.param(lambda: thetalift.theta_kernel(0, _I, 1j), id="theta_kernel-tau"),
+    pytest.param(lambda: thetalift.theta_kernel(0, 1j, _I), id="theta_kernel-z"),
+    pytest.param(lambda: thetalift.theta_integral(0, _I, "J"), id="theta_integral"),
+    pytest.param(lambda: thetalift.eisen_prediction(_I), id="eisen_prediction"),
+    pytest.param(lambda: lattice.x_of_z(_I), id="x_of_z"),
+    pytest.param(lambda: lattice.pair_with_xz(_X, _I), id="pair_with_xz"),
+    pytest.param(lambda: lattice.km_value(_X, _I, 1j), id="km_value-tau"),
+    pytest.param(lambda: lattice.km_value(_X, 1j, _I), id="km_value-z"),
+])
+def test_hp_inputs_rejected(call):
+    # points are plain complex or mpc numbers; an HP would be taken as exact
+    with pytest.raises(TypeError):
+        call()

@@ -52,6 +52,34 @@ def test_first_system_is_solved(monkeypatch):
     assert f.coeff(0) == 8
 
 
+def test_support_check_reads_unimposed_rows(monkeypatch):
+    # the support scan after the solve must reach an exponent n = 1, 2
+    # (mod 4) that the solve did not impose, or it can never fail
+    import cmtrace.plusspace as ps
+    from cmtrace.series import QSeries
+
+    seen = {"solved": False, "scanned": []}
+
+    def solve(rows, rhs, n):
+        seen["support_rows"] = len(rows) - 9  # less the pole rows -9..-1
+        seen["solved"] = True
+        return _solve_exact(rows, rhs, n)
+
+    coeff = QSeries.coeff
+
+    def spy(self, n):
+        if seen["solved"]:
+            seen["scanned"].append(n)
+        return coeff(self, n)
+
+    monkeypatch.setattr(ps, "_solve_exact", solve)
+    monkeypatch.setattr(QSeries, "coeff", spy)
+    plus_form({-1: -1, -9: -3}, 12)
+    support = [n for n in range(1, 1000) if n % 4 in (1, 2)]
+    last_imposed = support[seen["support_rows"] - 1]
+    assert max(n for n in seen["scanned"] if n > 0 and n % 4 in (1, 2)) > last_imposed
+
+
 def test_support_condition_through_200():
     f = plus_form({-1: -1}, 200)
     for n in range(1, 200):

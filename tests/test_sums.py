@@ -2,9 +2,11 @@
 Fourier coefficients of negative-index Poincare series.
 
 Oracle notes: bessel values are checked against mpmath.besseli at high
-working precision; K(m,n,c) against a direct complex-exponential sum;
-the three Poincare coefficients against their known integer values
-(141444, 68234240, 6446476530).
+working precision, against sqrt(2/(pi x)) sinh x at order 1/2, and against
+(1/pi) int_0^pi e^{x cos t} cos(nu t) dt by quadrature at integer order;
+K(m,n,c) against a direct complex-exponential sum; the three Poincare
+coefficients against their known integer values (141444, 68234240,
+6446476530).
 """
 
 import cmath
@@ -111,6 +113,30 @@ class TestBesselI:
         assert float(bessel_i(0, 0).value) == 1.0
         with pytest.raises(ValueError):
             bessel_i(3, -1.0)
+
+    @pytest.mark.parametrize("x", [50.5, 55.0, 60.0])
+    def test_half_integer_bound_at_high_precision(self, x):
+        # I_{1/2}(x) = sqrt(2/(pi x)) sinh x, with the e^-x half of sinh kept
+        v = bessel_i(0.5, x, precision=200)
+        with mp.workprec(400):
+            cf = mp.sqrt(2 / (mp.pi * x)) * mp.sinh(x)
+            assert abs(v.value - cf) <= v.error_bound
+
+    def test_past_float_range(self):
+        v = bessel_i(0.5, 1000)
+        with mp.workprec(200):
+            cf = mp.sqrt(2 / (mp.pi * 1000)) * mp.sinh(1000)
+            assert abs(v.value - cf) <= mp.ldexp(cf, -50)
+
+    @pytest.mark.parametrize("nu", [0, 3, 13])
+    @pytest.mark.parametrize("x", [0.3, 7.5, 30.0, 55.0])
+    def test_against_integral(self, nu, x):
+        # integer order: I_nu(x) = (1/pi) int_0^pi e^{x cos t} cos(nu t) dt,
+        # an oracle that does not go through besseli
+        v = bessel_i(nu, x, precision=120)
+        with mp.workprec(300):
+            ref = mp.quad(lambda t: mp.exp(x * mp.cos(t)) * mp.cos(nu * t), [0, mp.pi]) / mp.pi
+            assert abs(v.value - ref) <= v.error_bound
 
 
 class TestPoincare:
