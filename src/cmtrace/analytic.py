@@ -12,13 +12,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .hp import HP, _ulp
 from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
-from .series import QSeries, bigJ_series, faber_poly, j_series
+from .series import QSeries, _dense, _step, bigJ_series, faber_poly, j_series
 
 _LN2 = math.log(2.0)
 
@@ -30,80 +32,137 @@ def precision_for(D: int, degree: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# certified CM evaluation
+# certified CM evaluation on fixed-point complex ints: (x, y) stands for
+# (x + iy) 2^-W, and a product truncated back to W fractional bits is off
+# by under sqrt 2 units of 2^-W
 
-def _pentagonal(q, lr: float, cut: float):
-    """(P, k, t): P(q) = prod_{n>=1} (1 - q^n) summed by Euler's
-    pentagonal theorem until the next power |q|^e1 is below e^cut, the
-    last step k, and t = ln of a bound on the terms left out.  lr = ln|q|.
+def _cmul(ax: int, ay: int, bx: int, by: int, W: int):
+    return (ax * bx - ay * by) >> W, (ax * by + ay * bx) >> W
 
-    P = 1 + sum_k (-1)^k (q^e1 + q^e2) with the pentagonal e1 = k(3k-1)/2,
-    e2 = e1 + k and e1(k+1) = e2 + 2k+1: the powers are stepped along by
-    q^k and q^(2k+1), four products per k.  Each q^e leaves those chains
-    after e - 1 products, so for |q| <= 0.006 its rounding is at most
-    (e-1)|q|^e relative to |P| > 0.99, and the sum over e stays below the
-    one rounding per product that callers charge.
+
+def _cdiv(ax: int, ay: int, bx: int, by: int, W: int):
+    d = bx * bx + by * by
+    return ((ax * bx + ay * by) << W) // d, ((ay * bx - ax * by) << W) // d
+
+
+def _scaled(v: float, m: int, e: int) -> float:
+    """An upper bound on v m 2^e for v >= 0 and an int m >= 0, inf past
+    the float range."""
+    s = max(m.bit_length() - 50, 0)
+    try:
+        return math.ldexp(v * ((m >> s) + 1), e + s)
+    except OverflowError:
+        return math.inf
+
+
+def _fabs(x: int, y: int, W: int) -> float:
+    """An upper bound on |x + iy| 2^-W."""
+    return _scaled(1.0, abs(x) + abs(y), -W)
+
+
+def _pentagonal(x: int, y: int, lr: float, W: int):
+    """(P, n): P(q) = prod_{n>=1} (1 - q^n) at q = (x, y) by Euler's
+    pentagonal theorem, summed until |q|^e1 < 2^-W / e, and the number n
+    of powers summed.  lr = ln|q|.
+
+    P = 1 + sum_k (-1)^k (q^e1 + q^e2) with e1 = k(3k-1)/2, e2 = e1 + k and
+    e1(k+1) = e2 + 2k+1: the powers are stepped along by q^k and q^(2k+1),
+    four products per k.  For |q| <= 0.006, if q is within 3 units of the
+    truth then so is each power, since 2 * 0.006 * 3 + sqrt 2 < 3.  So P
+    is within 3n units, plus the terms left out: 2|q|^e1 / (1 - |q|) < 1.
     """
-    P = mp.mpf(1)
-    qk, q2 = q, q * q
-    q2k1 = q2 * q
-    qe1 = q
+    cut = -(W * _LN2 + 1)
+    q2 = _cmul(x, y, x, y, W)
+    qk, q2k1, qe1 = (x, y), _cmul(*q2, x, y, W), (x, y)
+    Px, Py = 1 << W, 0
     k = 1
     while True:
-        qe2 = qe1 * qk
-        P += -(qe1 + qe2) if k % 2 else qe1 + qe2
+        qe2 = _cmul(*qe1, *qk, W)
+        sign = -1 if k % 2 else 1
+        Px, Py = Px + sign * (qe1[0] + qe2[0]), Py + sign * (qe1[1] + qe2[1])
         k += 1
         if k * (3 * k - 1) // 2 * lr < cut:
-            break
-        qe1 = qe2 * q2k1
-        qk *= q
-        q2k1 *= q2
-    # the terms left: at most 2 sum_{i >= e1(k)} |q|^i
-    return P, k, math.log(2 / (1 - math.exp(lr))) + k * (3 * k - 1) // 2 * lr
+            return Px, Py, 2 * (k - 1)
+        qe1, qk, q2k1 = _cmul(*qe2, *q2k1, W), _cmul(*qk, x, y, W), _cmul(*q2k1, *q2, W)
 
 
-def _j_certified(tau, prec: int):
-    """j(tau) = (1 + 256 f)^3 / f with f = Delta(2 tau) / Delta(tau)
-    = q (P(q^2) / P(q))^24 and P the Euler product, plus a certified
-    absolute error bound.  Requires Im tau >= sqrt(3)/2 - eps.
+def _modulus(E, W: int):
+    """(mE, eE, |q|) for the mpf E = |1/q| = mE 2^eE, with |q| as
+    floor(2^W / E), which is 0 once E > 2^W."""
+    _, mE, eE, _ = E._mpf_
+    return mE, eE, (1 << (W - eE)) // mE if W >= eE else 0
 
-    It is computed as 256 u^3 / x with x = 256 f and u = 1 + x.
+
+@lru_cache(maxsize=64)
+def _cm_modulus(D: int, a: int, W: int):
+    """_modulus of e^{pi sqrt(D) / a}, the |1/q| shared by the CM points
+    of the forms [a, b, c] of discriminant -D, within 2^-(W+15)."""
+    wp = W + 20 + D.bit_length()
+    with mp.workprec(wp):
+        return _modulus(mp.exp(mp.pi * mp.mpf((isqrt(D << 2 * wp), -wp)) / a), W)
+
+
+def _j_certified(point, prec: int):
+    """j at the CM point of a reduced QuadForm, or at an mpc tau with
+    Im tau >= sqrt(3)/2 - eps, with a certified absolute error bound.
+
+    j = G / q with G = (1 + 256 q R)^3 / R and R = (P(q^2) / P(q))^24, P
+    the Euler product, as f = Delta(2 tau) / Delta(tau) = q R and
+    j = (1 + 256 f)^3 / f.  q comes from the exact point as
+    1/q = e^x e^{i theta}: for [a, b, c], x = pi sqrt(D) / a, shared by the
+    forms with that a, and theta = pi b / a; for tau, x = 2 pi Im tau and
+    theta = -2 pi Re tau.  G is computed on fixed-point ints with
+    W = prec + 32 fractional bits and an absolute error bound in units of
+    2^-W, which holds at rho, where G vanishes; j's is that times |1/q|,
+    plus one rounding to prec, inf past the float range.
     """
-    pw = prec + 32
-    ulp = 2.0 ** (prec - pw)  # one rounding at pw bits, in units of 2^-prec
-    # Tails and stopping tests work with logarithms, and the errors in
-    # units of 2^-prec: |q| and 2^-prec leave the float range at high
-    # precision (|q| < 2^-1074 once Im tau > 118).
-    lr = -2 * math.pi * float(tau.imag)  # ln|q|
-    cut = -(prec + 20) * _LN2  # ln 2^-(prec+20)
-    scale = prec * _LN2
-    with mp.workprec(pw):
-        q = mp.e ** (2j * mp.pi * tau)
-        if abs(q) > 0.006:  # e^{-pi sqrt 3} = 0.00433...
-            raise ValueError("evaluation point not reduced (Im tau too small)")
-        P1, k1, t1 = _pentagonal(q, lr, cut)
-        P2, k2, t2 = _pentagonal(q * q, 2 * lr, cut)
-        x = 256 * q * (P2 / P1) ** 24
-        u = 1 + x
-        j = 256 * u**3 / x
-        aj, au, ax = float(abs(j)), float(abs(u)), float(abs(x))
-        # f's error is relative: 24 parts of each P's tail over |P| > 0.99;
-        # q inherits the rounding of its argument 2 pi i tau, at most
-        # (6 pi |tau| + 2) ulps, which moves f by under 1.2 times as much;
-        # and 64 ulps for each of the other roundings: 4 per pentagonal
-        # step, and 40 for q^2, P2/P1, the 24th power, the products, u and
-        # u^3 / x.
-        rel = (25 * (math.exp(t1 + scale) + math.exp(t2 + scale))
-               + (24 * float(abs(tau)) + 64 * (4 * (k1 + k2) + 40)) * ulp)
-        # u vanishes at rho (j = 0 there), so its error is absolute,
-        # |x| rel.  It reaches u^3 as (|u| + d)^3 - |u|^3.
-        du = ax * rel
-        # 1/|f| = 256/|x|: from |j| while |u| > 1/2; below that |x| > 1/2,
-        # so nothing divides by an underflowed |q|
-        inv = aj / au**3 if au > 0.5 else 256 / ax
-        d = math.ldexp(du, -prec)
-        err = inv * (du * (3 * au * au + 3 * au * d + d * d) + (au + d) ** 3 * rel)
-        return HP(j, math.ldexp(err, -prec) + _ulp(aj, prec), prec)
+    W = prec + 32
+    if isinstance(point, QuadForm):
+        lr = -math.pi * math.sqrt(point.D) / point.a  # ln|q|
+        mE, eE, qa = _cm_modulus(point.D, point.a, W)
+        with mp.workprec(W + 20):
+            c, s = mp.cos_sin(mp.pi * point.b / point.a)
+    else:
+        lr = -2 * math.pi * float(point.imag)
+        # guard bits for the size of x and theta
+        with mp.workprec(W + 24 + int(max(abs(point.real), point.imag)).bit_length()):
+            mE, eE, qa = _modulus(mp.exp(2 * mp.pi * point.imag), W)
+            c, s = mp.cos_sin(-2 * mp.pi * point.real)
+    if lr > math.log(0.006):  # e^{-pi sqrt 3} = 0.00433...
+        raise ValueError("evaluation point not reduced (Im tau too small)")
+    c, s = to_fixed(c._mpf_, W), to_fixed(s._mpf_, W)  # each within 1 unit
+    qx, qy = (qa * c) >> W, -((qa * s) >> W)
+    P1x, P1y, n1 = _pentagonal(qx, qy, lr, W)
+    P2x, P2y, n2 = _pentagonal(*_cmul(qx, qy, qx, qy, W), 2 * lr, W)
+    r = _cdiv(P2x, P2y, P1x, P1y, W)
+    Rx, Ry = _cmul(*_cmul(*r, *r, W), *r, W)  # r^3
+    for _ in range(3):  # r^6, r^12, r^24
+        Rx, Ry = _cmul(Rx, Ry, Rx, Ry, W)
+    ux, uy = _cmul(qx, qy, Rx, Ry, W - 8)  # 256 q R
+    ux += 1 << W
+    Gx, Gy = _cdiv(*_cmul(*_cmul(ux, uy, ux, uy, W), ux, uy, W), Rx, Ry, W)
+    # The error budget in units of 2^-W, for |q| <= 0.006.  q is off by
+    # under 0.006 * 1.5 + 1.01 + sqrt 2 < 3, so P(q) and P(q^2) by 3n + 1.
+    # |P(q)| > 0.99 and 0.99 < |r| < 1.007, so r = P(q^2) / P(q) is off by
+    # (e2 + 1.01 e1) / 0.99 + 1.5, and R = r^24, five products, by
+    # 29 e_r + 38, with 0.86 < |R| < 1.19.  256 q R scales q's and R's
+    # errors by 256 and truncates once.  u = 1 + 256 q R, measured as
+    # |u| <= mu, so that at rho, where u vanishes, so do the errors of
+    # u^3, 3 mu^2 e_u + 1.5 (mu + 1), and of G = u^3 / R,
+    # (e_u3 + |G| e_R) / 0.86 + 1.5 with |G| <= mu^3 / 0.86.  j = G 1/q
+    # adds |G| 1.5 for e^{i theta} and |G| for E.
+    mq = min(math.exp(lr), 0.006)
+    er = (3 * n2 + 1 + 1.01 * (3 * n1 + 1)) / 0.99 + 1.5
+    eR = 29 * er + 38
+    eu = 256 * (mq * eR + 1.19 * 3) + 1.5
+    mu = _fabs(ux, uy, W) + math.ldexp(eu, -W)
+    mG = mu**3 / 0.86
+    eG = (3 * mu * mu * eu + 1.5 * (mu + 1) + mG * eR) / 0.86 + 1.5
+    # j = G e^{i theta} E exactly, then rounded to prec
+    j = mp.make_mpc(tuple(from_man_exp(h * mE, eE - 2 * W, prec, "n")
+                          for h in (Gx * c - Gy * s, Gx * s + Gy * c)))
+    aj = _scaled(_fabs(Gx, Gy, W), mE, eE)
+    return HP(j, _scaled(eG + 2.5 * mG, mE, eE - W) + _ulp(aj, prec), prec)
 
 
 def _parse_fspec(f_spec):
@@ -128,52 +187,84 @@ def _parse_fspec(f_spec):
     raise ValueError(f"unrecognized function spec {f_spec!r}")
 
 
-def eval_modular(f_spec, tau, precision: int = 64) -> HP:
-    """Certified value of a polynomial in j (or named function) at tau in
-    the standard fundamental domain."""
+def eval_modular(f_spec, point, precision: int = 64) -> HP:
+    """Certified value of a polynomial in j (or named function) at a point
+    of the standard fundamental domain: tau, or the CM point of a reduced
+    QuadForm."""
     label, coeffs, qexp, _deg = _parse_fspec(f_spec)
+    if isinstance(point, QuadForm):
+        im = math.sqrt(point.D) / (2 * point.a)
+        if qexp is not None:
+            point = _alpha_of(point, precision)
+    else:
+        with mp.workprec(precision + 32):  # convert without re-rounding the input
+            point = mp.mpc(point)
+        im = float(point.imag)
     if qexp is not None:
-        return eval_qexpansion(qexp, tau, precision)
-    with mp.workprec(precision + 32):  # convert without re-rounding the input
-        tval = mp.mpc(tau)
-    if float(tval.imag) < math.sqrt(3) / 2 - 1e-12:
+        return eval_qexpansion(qexp, point, precision)
+    if im < math.sqrt(3) / 2 - 1e-12:
         raise ValueError("tau must lie in the fundamental domain (Im >= sqrt(3)/2)")
     if label == "1":
         return HP(mp.mpc(1), 0.0, precision)
-    jv = _j_certified(tval, precision)
-    # exact-coefficient Horner in j with running error bound
-    with mp.workprec(precision + 32):
-        acc = mp.mpc(0)
-        err = 0.0
-        aj = float(abs(jv.value))
-        for c in reversed(coeffs):
-            err = err * aj + float(abs(acc)) * jv.error_bound + _ulp(float(abs(acc)) * aj + 1.0, precision)
-            acc = acc * jv.value + mp.mpf(c.numerator) / c.denominator
-        # |j| past the float range: say inf outright, since 0 * inf above is nan
-        if math.isinf(jv.error_bound):
-            err = math.inf
-        return HP(acc, err, precision)
+    jv = _j_certified(point, precision)
+    # exact-coefficient Horner in j on fixed-point ints, with a running
+    # error bound: each step truncates a product and a coefficient, under
+    # 4 units of 2^-W
+    W = precision + 32
+    jx, jy = to_fixed(jv.value.real._mpf_, W), to_fixed(jv.value.imag._mpf_, W)
+    ej = jv.error_bound + _ulp(1.0, W)
+    aj = _fabs(jx, jy, W) + ej
+    ax = ay = 0
+    err = 0.0
+    for c in reversed(coeffs):
+        err = err * aj + _fabs(ax, ay, W) * ej + _ulp(2.0, W)
+        ax, ay = _cmul(ax, ay, jx, jy, W)
+        ax += (c.numerator << W) // c.denominator
+    # |j| past the float range: say inf outright, since 0 * inf above is nan
+    if math.isinf(jv.error_bound):
+        err = math.inf
+    value = mp.make_mpc(tuple(from_man_exp(v, -W, precision, "n") for v in (ax, ay)))
+    return HP(value, err + _ulp(_fabs(ax, ay, W), precision), precision)
 
 
 def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> HP:
     """Numerical value of an exact q-expansion at tau (Im tau > 0).
 
-    The error bound covers rounding only; accuracy beyond the series'
-    truncation order is the caller's responsibility (downstream rounding
-    residuals stay honest either way).
+    The terms lie on the series' own grid, exponents v + step k of
+    w = q^(1/denom), so this is q^(v/denom) times a polynomial in
+    z = w^step, summed by Horner.  The error bound covers rounding only;
+    accuracy beyond the series' truncation order is the caller's
+    responsibility (downstream rounding residuals stay honest either way).
     """
     with mp.workprec(precision + 32):
         tval = mp.mpc(tau)
     if float(tval.imag) <= 0:
         raise ValueError("Im tau > 0 required")
+    if not series.terms:
+        return HP(mp.mpc(0), 0.0, precision)
+    v, step = min(series.terms), _step(series.terms) or 1
+    d, cs = _dense(series.terms, v, step, math.inf)
     with mp.workprec(precision + 32):
-        w = mp.e ** (2j * mp.pi * tval / series.denom)  # q^(1/denom)
+        arg = 2j * mp.pi * tval / series.denom  # w = e^arg
+        z = mp.exp(step * arg)
         acc = mp.mpc(0)
-        for n in sorted(series.terms, reverse=True):
-            c = series.terms[n]
-            acc += (mp.mpf(c.numerator) / c.denominator) * w**n
-        eb = (len(series.terms) + 4) * _ulp(float(abs(acc)) + 1.0, precision)
-        return HP(acc, eb, precision)
+        for c in reversed(cs):
+            acc = acc * z + c
+        acc = acc * mp.exp(v * arg) / d
+    # Horner's rounding, relative to S = sum |c_n| |w|^n at precision + 32
+    # bits: at most 5 roundings per step for each term's products and
+    # additions, plus z^k's and w^v's errors inherited from rounding
+    # their arguments, 3 |arg| + 1 roundings per power of z and 3 |arg| + 2
+    # for w^v, and the division by d
+    lw = -2 * math.pi * float(tval.imag) / series.denom  # ln|w|
+    try:
+        S = math.fsum(abs(c.numerator / c.denominator) * math.exp(n * lw) for n, c in series.terms.items())
+    except OverflowError:
+        S = math.inf
+    t = 2 * math.pi * abs(complex(tval)) / series.denom  # |arg|
+    K = len(cs) - 1
+    count = 5 * (K + 1) + K * (3 * t * step + 1) + 3 * t * abs(v) + 8
+    return HP(acc, math.ldexp(S * count, -(precision + 32)), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +334,7 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
     err = 0.0
     with mp.workprec(precision + 32):
         for F, mult, w, bits in terms:
-            v = eval_modular(f_spec, _alpha_of(F, bits), bits)
+            v = eval_modular(f_spec, F, bits)
             total += mult * v.value.real / w
             err += mult * v.error_bound / w
 

@@ -97,6 +97,17 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
         raise ValueError("m, n, c_max >= 1")
     C = min(c_max, _POINCARE_C_CAP)
     xmn = 4.0 * pi * math.sqrt(m * n)
+    # the c-sum runs in float64: fail before it if the c = 1 term, the
+    # largest, or the tail bound past C leaves the float range
+    first = bessel_i(k - 1, xmn, 53)
+    if math.isinf(float(first.value)):
+        raise ValueError(f"I_{k - 1}(4 pi sqrt(m n)) at m n = {m * n} is past the float range")
+    try:
+        tail = _poincare_tail_bound(k, m, n, C)
+    except OverflowError:
+        tail = math.inf
+    if math.isinf(tail):
+        raise ValueError(f"the tail bound past c = {C} at m n = {m * n} is past the float range")
     vals = []
     errs = 0.0
     for c in range(1, C + 1):
@@ -104,7 +115,7 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
         # phase e((n d - m dbar)/c), i.e. the first Kloosterman index
         # enters with a minus sign
         kl = kloosterman(-m, n, c)
-        bi = bessel_i(k - 1, xmn / c, 53)
+        bi = bessel_i(k - 1, xmn / c, 53) if c > 1 else first
         v = float(kl.value) / c * float(bi.value)
         vals.append(v)
         errs += (
@@ -113,8 +124,9 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
             + _ulp(abs(v), 53)
         )
     s = fsum(vals)
-    tail = _poincare_tail_bound(k, m, n, C)
     pref = 2.0 * pi * (-1.0) ** (k // 2) * (n / m) ** ((k - 1) / 2.0)
     val = pref * s
     eb = abs(pref) * (errs + tail) + 4 * _ulp(abs(val), 53)
+    if math.isinf(eb):
+        raise ValueError(f"a({n}) at m n = {m * n} is past the float range")
     return HP(val, eb, 53)

@@ -9,6 +9,7 @@ and the plus-space lifts, and closed forms for beta.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -123,6 +124,47 @@ class TestJKernel:
         assert math.isinf(v.error_bound)
 
 
+# about 30 seeded D <= 4000, with 3, 4 and 7, where the forms sit at rho,
+# i and near the arc
+_ORACLE_DS = [3, 4, 7] + random.Random(4000).sample([D for D in range(8, 4001) if D % 4 in (0, 3)], 30)
+
+
+class TestCMPointKernel:
+    # the kernel at a QuadForm builds q from the exact CM point
+    @pytest.mark.parametrize("D", _ORACLE_DS)
+    def test_every_reduced_form_within_bound(self, D):
+        precision = precision_for(D)
+        for F in enumerate_reduced(D):
+            pF = _form_precision(precision, D, 1, F.a)
+            v = _j_certified(F, pF)
+            with mp.workprec(pF + 160):
+                ref = 1728 * mp.kleinj(mp.mpc(-F.b, mp.sqrt(D)) / (2 * F.a))
+                assert abs(v.value - ref) <= v.error_bound, (F, pF)
+
+    @pytest.mark.parametrize("D", [3, 4, 23, 1003, 3999])
+    def test_form_and_its_tau_agree(self, D):
+        precision = precision_for(D)
+        for F in enumerate_reduced(D):
+            pF = _form_precision(precision, D, 1, F.a)
+            v, w = _j_certified(F, pF), _j_certified(_alpha_of(F, pF), pF)
+            assert abs(v.value - w.value) <= v.error_bound + w.error_bound, (F, pF)
+
+    @pytest.mark.parametrize("prec", [64, 200, 1000])
+    def test_rho_absolute(self, prec):
+        # j(rho) = 0: the bound is absolute, a few units of 2^-(prec+32)
+        # times |1/q| = e^{pi sqrt 3}
+        v = _j_certified(QuadForm(36, 36, 36), prec)
+        assert abs(v.value) <= v.error_bound <= math.ldexp(1.0, -prec)
+
+    def test_form_point_through_eval_modular(self):
+        F = QuadForm(2, 1, 3)
+        a = eval_modular("J2", F, 90)
+        b = eval_modular("J2", _alpha_of(F, 90), 90)
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+        with pytest.raises(ValueError):
+            eval_modular("J", QuadForm(3, 0, 1), 64)  # not reduced
+
+
 class TestEvalQexpansion:
     def test_eta_quotient_oracle(self):
         # t = eta(tau)^8/eta(4tau)^8 = q^{-1} (qp(q)/qp(q^4))^8
@@ -132,6 +174,19 @@ class TestEvalQexpansion:
             q = mp.e ** (2j * mp.pi * tau)
             ref = (mp.qp(q) / mp.qp(q**4)) ** 8 / q
         assert abs(float(abs(v.value - ref))) < 1e-18
+
+    @pytest.mark.parametrize("prec", [53, 200, 1000])
+    def test_rounding_within_bound(self, prec):
+        # the truncated series itself, term by term at 200 more bits: the
+        # stepped Horner sum differs from it by rounding only
+        T2 = _fricke_hauptmodul(60)
+        for tau in (mp.mpc(0.3, 0.9), mp.mpc(-0.45, 0.12), mp.mpc(7.25, 2.5)):
+            v = eval_qexpansion(T2, tau, prec)
+            with mp.workprec(prec + 200):
+                w = mp.exp(2j * mp.pi * tau / T2.denom)
+                ref = mp.fsum(mp.mpf(c.numerator) / c.denominator * w**n for n, c in T2.terms.items())
+                assert abs(v.value - ref) <= v.error_bound, (tau, prec)
+            assert v.error_bound < 1e-9 * float(abs(ref) + 1), (tau, prec)
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,21 @@ class TestExitCodes:
         # height below the truncation design's floor
         assert run(["theta", "--tau", "0.1+0.2j"]) == 3
 
+    @pytest.mark.parametrize("n, cmax, what", [
+        # I_3(4 pi sqrt 4000) = I_3(794.7) > 1e308: the float64 c-sum
+        # cannot hold its c = 1 term
+        ("4000", "600", "I_3(4 pi sqrt(m n)) at m n = 4000"),
+        ("4000", "5", "I_3(4 pi sqrt(m n)) at m n = 4000"),
+        # I_3(4 pi sqrt 3000) is finite, but the tail bound past c = 5
+        # carries e^{4 pi^2 3000 / 25}
+        ("3000", "5", "the tail bound past c = 5 at m n = 3000"),
+        # each term is finite, but (n/m)^{3/2} times their sum is not
+        ("3220", "50", "a(3220) at m n = 3220"),
+    ])
+    def test_poincare_past_float_range_exits_3(self, capsys, n, cmax, what):
+        assert run(["poincare", "--k", "4", "--m", "1", "--n", n, "--cmax", cmax]) == 3
+        assert f"{what} is past the float range" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
 
