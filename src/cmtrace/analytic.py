@@ -1,8 +1,9 @@
 """CM values, traces, the exact formula, Duke's statistic, the regularized
 average, and beta(s).
 
-All certified quantities flow through HP records; traces carry an
-explicit rounding residual and are never silently rounded.
+Certified results leave this module as HP records.  Inside it, CM values
+and trace sums are integer balls, exact up to their radius; traces carry
+an explicit rounding residual and are never silently rounded.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import isqrt
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_float, from_int, from_man_exp, mpf_div, to_fixed
 
 from .hp import HP, _ulp
 from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
@@ -32,9 +33,10 @@ def precision_for(D: int, degree: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# certified CM evaluation on fixed-point complex ints: (x, y) stands for
-# (x + iy) 2^-W, and a product truncated back to W fractional bits is off
-# by under sqrt 2 units of 2^-W
+# certified CM evaluation on fixed-point complex ints.  A ball (x, y, r, W)
+# of ints stands for (x + iy) 2^-W with radius r 2^-W; r is rounded up at
+# every truncating step, and a product truncated back to W fractional bits
+# is off by under sqrt 2 units of 2^-W.  Balls never leave this module.
 
 def _cmul(ax: int, ay: int, bx: int, by: int, W: int):
     return (ax * bx - ay * by) >> W, (ax * by + ay * bx) >> W
@@ -45,19 +47,12 @@ def _cdiv(ax: int, ay: int, bx: int, by: int, W: int):
     return ((ax * bx + ay * by) << W) // d, ((ay * bx - ax * by) << W) // d
 
 
-def _scaled(v: float, m: int, e: int) -> float:
-    """An upper bound on v m 2^e for v >= 0 and an int m >= 0, inf past
-    the float range."""
-    s = max(m.bit_length() - 50, 0)
+def _float_up(r: int, W: int) -> float:
+    """r 2^-W rounded up to a float, inf past the float range."""
     try:
-        return math.ldexp(v * ((m >> s) + 1), e + s)
+        return math.nextafter(r / (1 << W), math.inf)
     except OverflowError:
         return math.inf
-
-
-def _fabs(x: int, y: int, W: int) -> float:
-    """An upper bound on |x + iy| 2^-W."""
-    return _scaled(1.0, abs(x) + abs(y), -W)
 
 
 def _pentagonal(x: int, y: int, lr: float, W: int):
@@ -87,10 +82,13 @@ def _pentagonal(x: int, y: int, lr: float, W: int):
 
 
 def _modulus(E, W: int):
-    """(mE, eE, |q|) for the mpf E = |1/q| = mE 2^eE, with |q| as
-    floor(2^W / E), which is 0 once E > 2^W."""
+    """(mE, eE, |q|) for the mpf E = |1/q| = mE 2^eE, with eE <= -W, so
+    that scaling by E and truncating to W bits is a right shift, and |q|
+    as floor(2^W / E), which is 0 once E > 2^W."""
     _, mE, eE, _ = E._mpf_
-    return mE, eE, (1 << (W - eE)) // mE if W >= eE else 0
+    s = max(eE + W, 0)
+    mE, eE = mE << s, eE - s
+    return mE, eE, (1 << (W - eE)) // mE
 
 
 @lru_cache(maxsize=64)
@@ -103,18 +101,18 @@ def _cm_modulus(D: int, a: int, W: int):
 
 
 def _j_certified(point, prec: int):
-    """j at the CM point of a reduced QuadForm, or at an mpc tau with
-    Im tau >= sqrt(3)/2 - eps, with a certified absolute error bound.
+    """The ball (x, y, r, W) of j at the CM point of a reduced QuadForm, or
+    at an mpc tau with Im tau >= sqrt(3)/2 - eps, with W = prec + 32.
 
     j = G / q with G = (1 + 256 q R)^3 / R and R = (P(q^2) / P(q))^24, P
     the Euler product, as f = Delta(2 tau) / Delta(tau) = q R and
     j = (1 + 256 f)^3 / f.  q comes from the exact point as
     1/q = e^x e^{i theta}: for [a, b, c], x = pi sqrt(D) / a, shared by the
     forms with that a, and theta = pi b / a; for tau, x = 2 pi Im tau and
-    theta = -2 pi Re tau.  G is computed on fixed-point ints with
-    W = prec + 32 fractional bits and an absolute error bound in units of
-    2^-W, which holds at rho, where G vanishes; j's is that times |1/q|,
-    plus one rounding to prec, inf past the float range.
+    theta = -2 pi Re tau.  G is computed on fixed-point ints with an
+    absolute error bound in units of 2^-W, which holds at rho, where G
+    vanishes; j's radius is that times |1/q|, plus the truncation of j to
+    W bits.  The radius is an int, so it stays finite however large |j|.
     """
     W = prec + 32
     if isinstance(point, QuadForm):
@@ -155,14 +153,14 @@ def _j_certified(point, prec: int):
     er = (3 * n2 + 1 + 1.01 * (3 * n1 + 1)) / 0.99 + 1.5
     eR = 29 * er + 38
     eu = 256 * (mq * eR + 1.19 * 3) + 1.5
-    mu = _fabs(ux, uy, W) + math.ldexp(eu, -W)
+    mu = _float_up(abs(ux) + abs(uy) + math.ceil(eu), W)
     mG = mu**3 / 0.86
     eG = (3 * mu * mu * eu + 1.5 * (mu + 1) + mG * eR) / 0.86 + 1.5
-    # j = G e^{i theta} E exactly, then rounded to prec
-    j = mp.make_mpc(tuple(from_man_exp(h * mE, eE - 2 * W, prec, "n")
-                          for h in (Gx * c - Gy * s, Gx * s + Gy * c)))
-    aj = _scaled(_fabs(Gx, Gy, W), mE, eE)
-    return HP(j, _scaled(eG + 2.5 * mG, mE, eE - W) + _ulp(aj, prec), prec)
+    # j = G e^{i theta} E with E = mE 2^eE, each part truncated to W bits
+    # (under 2 units together)
+    jx = (Gx * c - Gy * s) * mE >> (W - eE)
+    jy = (Gx * s + Gy * c) * mE >> (W - eE)
+    return jx, jy, -(-math.ceil(eG + 2.5 * mG) * mE >> -eE) + 2, W
 
 
 def _parse_fspec(f_spec):
@@ -206,25 +204,28 @@ def eval_modular(f_spec, point, precision: int = 64) -> HP:
         raise ValueError("tau must lie in the fundamental domain (Im >= sqrt(3)/2)")
     if label == "1":
         return HP(mp.mpc(1), 0.0, precision)
-    jv = _j_certified(point, precision)
-    # exact-coefficient Horner in j on fixed-point ints, with a running
-    # error bound: each step truncates a product and a coefficient, under
-    # 4 units of 2^-W
-    W = precision + 32
-    jx, jy = to_fixed(jv.value.real._mpf_, W), to_fixed(jv.value.imag._mpf_, W)
-    ej = jv.error_bound + _ulp(1.0, W)
-    aj = _fabs(jx, jy, W) + ej
-    ax = ay = 0
-    err = 0.0
-    for c in reversed(coeffs):
-        err = err * aj + _fabs(ax, ay, W) * ej + _ulp(2.0, W)
-        ax, ay = _cmul(ax, ay, jx, jy, W)
-        ax += (c.numerator << W) // c.denominator
-    # |j| past the float range: say inf outright, since 0 * inf above is nan
-    if math.isinf(jv.error_bound):
-        err = math.inf
-    value = mp.make_mpc(tuple(from_man_exp(v, -W, precision, "n") for v in (ax, ay)))
-    return HP(value, err + _ulp(_fabs(ax, ay, W), precision), precision)
+    x, y, r, W = _poly_ball(coeffs, point, precision)
+    value = mp.make_mpc(tuple(from_man_exp(v, -W, precision, "n") for v in (x, y)))
+    # one rounding to precision, under |x + iy| 2^-precision
+    return HP(value, _float_up(r + (abs(x) + abs(y) >> precision) + 1, W), precision)
+
+
+def _poly_ball(coeffs, point, prec: int):
+    """The ball (x, y, r, W) of sum_k coeffs[k] j^k at a point of the
+    fundamental domain, by Horner on j's ball, W = prec + 32."""
+    W = prec + 32
+    c = coeffs[-1]
+    ax, ay, ra = (c.numerator << W) // c.denominator, 0, int(c.denominator > 1)
+    if len(coeffs) > 1:
+        jx, jy, rj, _ = _j_certified(point, prec)
+        mj = abs(jx) + abs(jy)
+        for c in reversed(coeffs[:-1]):
+            # (a + da)(j + dj) - a j = a dj + j da + da dj; truncating the
+            # product and flooring c add under 3 units
+            ra = -(-((abs(ax) + abs(ay)) * rj + mj * ra + ra * rj) >> W) + 3
+            ax, ay = _cmul(ax, ay, jx, jy, W)
+            ax += (c.numerator << W) // c.denominator
+    return ax, ay, ra, W
 
 
 def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> HP:
@@ -309,6 +310,7 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
     `precision` (default precision_for(D, deg)) is that of the a = 1 form
     and is the one reported; for p = 1 each other form [a, b, c] runs at
     the fewer bits of _form_precision, for p > 1 every form runs at it.
+    The terms are summed exactly as integer balls and rounded once.
     """
     label, coeffs, qexp, deg = _parse_fspec(f_spec)
     if p > 1 and qexp is None:
@@ -330,15 +332,26 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
         orbits = level_p_orbits(D, p)
         count = len(orbits)
         terms = [(o.form, 1, o.stabilizer_order, precision) for o in orbits]
-    total = mp.mpf(0)
-    err = 0.0
-    with mp.workprec(precision + 32):
-        for F, mult, w, bits in terms:
-            v = eval_modular(f_spec, F, bits)
-            total += mult * v.value.real / w
-            err += mult * v.error_bound / w
-
-    num = HP(total, err + 4 * _ulp(abs(float(total)) + 1.0, precision), precision)
+    # the sum times 12 2^W, and its radius, as ints: 12/w is an integer
+    # for every stabilizer order w in {1, 2, 3, 4, 6}
+    W = precision + 32
+    S = R = 0
+    for F, mult, w, bits in terms:
+        if qexp is None:
+            x, _, r, WF = _poly_ball(coeffs, F, bits)
+            x, r = x << (W - WF), r << (W - WF)
+        else:
+            v = eval_qexpansion(qexp, _alpha_of(F, bits), bits)
+            x, eb = to_fixed(v.value.real._mpf_, W), v.error_bound
+            # floor x and floor eb 2^W, each off by under 1; an infinite
+            # bound becomes a radius past the float range
+            r = to_fixed(from_float(eb), W) + 2 if eb < math.inf else 1 << (W + 1024)
+        S += mult * (12 // w) * x
+        R += mult * (12 // w) * r
+    # one rounding to precision, under |S| 2^-precision
+    R += (abs(S) >> precision) + 1
+    value = mp.make_mpf(mpf_div(from_man_exp(S, -W), from_int(12), precision, "n"))
+    num = HP(value, _float_up(-(-R // 12), W), precision)
     # traces land in (1/12)Z (stabilizer orders divide 12's divisor lattice);
     # nearest-twelfth rounding reduces to the integer when the trace is one
     with mp.workprec(precision + 32):

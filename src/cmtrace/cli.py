@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "truncated exponential-sum formula for the J-trace")):
         sp = add(name, fn, help)
         g = sp.add_mutually_exclusive_group(required=True)
-        g.add_argument("--D", type=int, default=None)
+        g.add_argument("--D", type=_NONNEG, default=None)
         g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI")
         if name == "trace":
             sp.add_argument("--f", type=_fspec_arg, default="J")

@@ -239,7 +239,9 @@ def check_plusspace(trunc: int = 200) -> CheckResult:
 
 
 def _determinism_rows():
-    tables = (("J", _admissible(3, 120)), ("J2", [3, 4, 23, 100]))
+    # J and J2 traces are integers with residual 0.0; the class numbers
+    # 1/3, 4/3, 4/3 of D = 3, 12, 27 keep a nonzero residual in the rows
+    tables = (("J", _admissible(3, 120)), ("J2", [3, 4, 23, 100]), ("1", [3, 12, 27]))
     return [trace_row(e) for f, Ds in tables for e in trace_table(f, Ds)]
 
 
@@ -268,7 +270,7 @@ def check_determinism() -> CheckResult:
         if render_table(cache.get(key), TRACE_FIELDS, "json") != want:
             bad.append("cache")
     return CheckResult("determinism", ident, not bad,
-                       f"{len(rows)} rows of J and J2 at mp.prec 20 and 2000 and "
+                       f"{len(rows)} rows of J, J2 and 1 at mp.prec 20 and 2000 and "
                        f"from a warm cache, mismatches {bad}",
                        time.time() - t0)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 
 from cmtrace import analytic
 from cmtrace.analytic import (
@@ -53,6 +54,12 @@ CLASSICS = [
 ]
 
 
+def _j_ball(point, prec):
+    # _j_certified's ball (x, y, r, W) as its exact midpoint and radius
+    x, y, r, W = _j_certified(point, prec)
+    return mp.make_mpc((from_man_exp(x, -W), from_man_exp(y, -W))), mp.make_mpf(from_man_exp(r, -W))
+
+
 class TestEvalModular:
     def test_singular_moduli(self):
         for b, D, want in CLASSICS:
@@ -79,10 +86,10 @@ class TestEvalModular:
         # u = 1 + 256 f vanishes in j = u^3 / f, so u's error cannot be
         # charged relative to |u|
         tau = _alpha_of(QuadForm(36, 36, 36), prec)
-        v = _j_certified(tau, prec)
-        assert abs(v.value) <= v.error_bound
+        v, rad = _j_ball(tau, prec)
+        assert abs(v) <= rad
         with mp.workprec(prec + 160):
-            assert abs(v.value - 1728 * mp.kleinj(tau)) <= v.error_bound
+            assert abs(v - 1728 * mp.kleinj(tau)) <= rad
 
     def test_constant(self):
         v = eval_modular("1", mp.mpc(0, 5), 64)
@@ -110,18 +117,20 @@ class TestJKernel:
     @pytest.mark.parametrize("prec", [64, 200, 1000, 1400])
     def test_within_bound_against_kleinj(self, prec):
         for tau in _kernel_points(prec):
-            v = _j_certified(tau, prec)
+            v, rad = _j_ball(tau, prec)
             with mp.workprec(prec + 160):
                 ref = 1728 * mp.kleinj(tau)
-                assert abs(v.value - ref) <= v.error_bound, (tau, prec)
-                # the radius is a float: below the float range it is the
-                # sub-denormal floor that _ulp adds, here and on rounding
-                assert v.error_bound <= max(mp.ldexp(abs(ref) + 1, 16 - prec), 2 * 5e-324), (tau, prec)
+                assert abs(v - ref) <= rad, (tau, prec)
+                assert rad <= mp.ldexp(abs(ref) + 1, 16 - prec), (tau, prec)
 
-    def test_radius_inf_where_q_underflows(self):
-        # |q| = e^{-260 pi} < 2^-1074 and |j| > 1e308: no error, radius inf
-        v = _j_certified(mp.mpc(0.25, 130), 1200)
-        assert math.isinf(v.error_bound)
+    def test_radius_finite_where_q_underflows(self):
+        # |q| = e^{-260 pi} < 2^-1074 and |j| > 1e308: the int radius
+        # stays finite and still bounds the error
+        tau = mp.mpc(0.25, 130)
+        v, rad = _j_ball(tau, 1200)
+        assert mp.isfinite(rad)
+        with mp.workprec(1200 + 160):
+            assert abs(v - 1728 * mp.kleinj(tau)) <= rad
 
 
 # about 30 seeded D <= 4000, with 3, 4 and 7, where the forms sit at rho,
@@ -136,25 +145,25 @@ class TestCMPointKernel:
         precision = precision_for(D)
         for F in enumerate_reduced(D):
             pF = _form_precision(precision, D, 1, F.a)
-            v = _j_certified(F, pF)
+            v, rad = _j_ball(F, pF)
             with mp.workprec(pF + 160):
                 ref = 1728 * mp.kleinj(mp.mpc(-F.b, mp.sqrt(D)) / (2 * F.a))
-                assert abs(v.value - ref) <= v.error_bound, (F, pF)
+                assert abs(v - ref) <= rad, (F, pF)
 
     @pytest.mark.parametrize("D", [3, 4, 23, 1003, 3999])
     def test_form_and_its_tau_agree(self, D):
         precision = precision_for(D)
         for F in enumerate_reduced(D):
             pF = _form_precision(precision, D, 1, F.a)
-            v, w = _j_certified(F, pF), _j_certified(_alpha_of(F, pF), pF)
-            assert abs(v.value - w.value) <= v.error_bound + w.error_bound, (F, pF)
+            (v, rv), (w, rw) = _j_ball(F, pF), _j_ball(_alpha_of(F, pF), pF)
+            assert abs(v - w) <= rv + rw, (F, pF)
 
     @pytest.mark.parametrize("prec", [64, 200, 1000])
     def test_rho_absolute(self, prec):
         # j(rho) = 0: the bound is absolute, a few units of 2^-(prec+32)
         # times |1/q| = e^{pi sqrt 3}
-        v = _j_certified(QuadForm(36, 36, 36), prec)
-        assert abs(v.value) <= v.error_bound <= math.ldexp(1.0, -prec)
+        v, rad = _j_ball(QuadForm(36, 36, 36), prec)
+        assert abs(v) <= rad <= math.ldexp(1.0, -prec)
 
     def test_form_point_through_eval_modular(self):
         F = QuadForm(2, 1, 3)
@@ -219,6 +228,22 @@ class TestTrace:
     def test_known_values(self):
         assert trace("J2", 4).value_rounded == 287244
         assert trace("J3", 3).value_rounded == -12288992
+
+    @pytest.mark.parametrize("d", [3, 4, 7, 23, 100, 999, 12003, 13003])
+    def test_hecke_relation_for_J2(self, d):
+        # Zagier, "Traces of singular moduli", section 5, at p = 2:
+        # Tr(J2; d) = t(4d) + (-d/2) t(d) + 2 t(d/4) with t = Tr(J; .), an
+        # exact identity; at d = 13003 both J2(d) and J(4d) have |f(alpha)|
+        # past the float range
+        def t(D):
+            e = trace("J", D)
+            assert e.certified, D
+            return e.value_rounded
+
+        kronecker = 0 if d % 4 == 0 else (1 if d % 8 == 7 else -1)  # (-d/2)
+        e = trace("J2", d)
+        assert e.certified
+        assert e.value_rounded == t(4 * d) + kronecker * t(d) + (2 * t(d // 4) if d % 4 == 0 else 0)
 
     def test_constant_gives_class_numbers(self):
         for D in (3, 4, 7, 12, 20, 23, 36):
@@ -367,16 +392,18 @@ class TestHighPrecision:
         certified, prec = out.stdout.split()
         assert certified == "True" and int(prec) > 1054
 
-    def test_radius_past_float_range_is_inf(self):
-        code = "from cmtrace.analytic import trace; print(trace('J', 60007).value_numeric.error_bound)"
+    def test_radius_past_float_range_is_finite(self):
+        # |j| at the a = 1 form of D = 60007 is about e^{pi sqrt D} > 1e308
+        code = "from cmtrace.analytic import trace; e = trace('J', 60007); print(e.certified, e.value_numeric.error_bound)"
         out = _run_isolated(["-c", code])
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "inf"
+        certified, bound = out.stdout.split()
+        assert certified == "True" and math.isfinite(float(bound))
 
-    def test_cli_exits_3_past_float_range(self):
+    def test_cli_exits_0_past_float_range(self):
         out = _run_isolated(["-m", "cmtrace.cli", "trace", "--f", "J", "--D", "60007", "--no-cache"])
-        assert out.returncode == 3, out.stderr
-        assert json.loads(out.stdout)["certified"] is False
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["certified"] is True
 
 
 class TestExactFormula:

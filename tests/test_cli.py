@@ -201,6 +201,8 @@ class TestExitCodes:
         ("verify", "zagier", "--dmax", "0"),
         ("verify", "zagier", "--dmax", "-5"),
         ("series", "--name", "g", "--dmax", "-5"),
+        ("classnum", "--D", "-1"),
+        ("trace", "--f", "J", "--D", "-7"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2
