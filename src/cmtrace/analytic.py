@@ -17,11 +17,11 @@ from math import isqrt
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_int, from_man_exp, mpf_div, to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_mul_int, mpf_pi, to_fixed
 
 from .hp import HP, _ulp
 from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
-from .series import QSeries, _dense, _step, bigJ_series, faber_poly, j_series
+from .series import QSeries, _step, bigJ_series, faber_poly, j_series
 
 _LN2 = math.log(2.0)
 
@@ -92,12 +92,48 @@ def _modulus(E, W: int):
 
 
 @lru_cache(maxsize=64)
-def _cm_modulus(D: int, a: int, W: int):
-    """_modulus of e^{pi sqrt(D) / a}, the |1/q| shared by the CM points
-    of the forms [a, b, c] of discriminant -D, within 2^-(W+15)."""
-    wp = W + 20 + D.bit_length()
+def _cm_modulus(D: int, k: int, m: int, W: int):
+    """_modulus of e^{pi sqrt(D) k / m}, the |q^(-k/d)| shared by the CM
+    points of the forms [a, b, c] of discriminant -D with m = a d, within
+    2^-(W+15)."""
+    wp = W + 20 + (D * k * k).bit_length()
     with mp.workprec(wp):
-        return _modulus(mp.exp(mp.pi * mp.mpf((isqrt(D << 2 * wp), -wp)) / a), W)
+        return _modulus(mp.exp(mp.pi * mp.mpf((k * isqrt(D << 2 * wp), -wp)) / m), W)
+
+
+def _q_power(point, k: int, d: int, W: int):
+    """(wx, wy, ln|w|, inv) for w = q^(k/d) at the CM point of a QuadForm,
+    1/w = e^{pi sqrt(D) k / ad} e^{i pi b k / ad} with the angle reduced
+    exactly, or at an mpc tau, 1/w = e^{-2 pi i tau k / d}.  inv is
+    (mE, eE, c, s) with 1/w = E e^{i theta}, E = mE 2^eE as in _modulus
+    and c, s = cos, sin theta each within 1 unit.  |w| = floor(2^W / E) is
+    off by 1.01 units, so w is off by under 1.5 |w| + 1.01 + sqrt 2: under
+    4, and under 3 when |w| <= 0.006."""
+    if isinstance(point, QuadForm):
+        m = point.a * d
+        lr = -math.pi * math.sqrt(point.D) * k / m
+        mE, eE, wa = _cm_modulus(point.D, k, m, W)
+        n, wp = point.b * k % (2 * m), W + 20
+        # theta = pi n / m in (-pi, pi], rounded as mp.pi * n / m would be
+        # at wp bits, without an mp context switch per form
+        theta = mpf_div(mpf_mul_int(mpf_pi(wp, "n"), n - 2 * m if n > m else n, wp, "n"), from_int(m), wp, "n")
+    else:
+        lr = -2 * math.pi * float(point.imag) * k / d
+        # guard bits for the size of x and theta
+        wp = W + 24 + int(max(abs(point.real), point.imag) * abs(k) / d).bit_length()
+        with mp.workprec(wp):
+            mE, eE, wa = _modulus(mp.exp(2 * mp.pi * point.imag * k / d), W)
+            theta = (-2 * mp.pi * point.real * k / d)._mpf_
+    c, s = (to_fixed(v, W) for v in mpf_cos_sin(theta, wp, "n"))
+    return (wa * c) >> W, -((wa * s) >> W), lr, (mE, eE, c, s)
+
+
+def _times_inv(x: int, y: int, r: int, inv, W: int):
+    """The ball (x, y, r) times 1/w = E e^{i theta}, inv as from _q_power.
+    r must already charge 1.5 |x + iy| units for c, s and |x + iy| for E;
+    truncating to W bits adds under 2 units."""
+    mE, eE, c, s = inv
+    return (x * c - y * s) * mE >> (W - eE), (x * s + y * c) * mE >> (W - eE), -(-r * mE >> -eE) + 2
 
 
 def _j_certified(point, prec: int):
@@ -106,30 +142,16 @@ def _j_certified(point, prec: int):
 
     j = G / q with G = (1 + 256 q R)^3 / R and R = (P(q^2) / P(q))^24, P
     the Euler product, as f = Delta(2 tau) / Delta(tau) = q R and
-    j = (1 + 256 f)^3 / f.  q comes from the exact point as
-    1/q = e^x e^{i theta}: for [a, b, c], x = pi sqrt(D) / a, shared by the
-    forms with that a, and theta = pi b / a; for tau, x = 2 pi Im tau and
-    theta = -2 pi Re tau.  G is computed on fixed-point ints with an
+    j = (1 + 256 f)^3 / f.  q and 1/q = E e^{i theta} come from the exact
+    point by _q_power.  G is computed on fixed-point ints with an
     absolute error bound in units of 2^-W, which holds at rho, where G
     vanishes; j's radius is that times |1/q|, plus the truncation of j to
     W bits.  The radius is an int, so it stays finite however large |j|.
     """
     W = prec + 32
-    if isinstance(point, QuadForm):
-        lr = -math.pi * math.sqrt(point.D) / point.a  # ln|q|
-        mE, eE, qa = _cm_modulus(point.D, point.a, W)
-        with mp.workprec(W + 20):
-            c, s = mp.cos_sin(mp.pi * point.b / point.a)
-    else:
-        lr = -2 * math.pi * float(point.imag)
-        # guard bits for the size of x and theta
-        with mp.workprec(W + 24 + int(max(abs(point.real), point.imag)).bit_length()):
-            mE, eE, qa = _modulus(mp.exp(2 * mp.pi * point.imag), W)
-            c, s = mp.cos_sin(-2 * mp.pi * point.real)
+    qx, qy, lr, inv = _q_power(point, 1, 1, W)
     if lr > math.log(0.006):  # e^{-pi sqrt 3} = 0.00433...
         raise ValueError("evaluation point not reduced (Im tau too small)")
-    c, s = to_fixed(c._mpf_, W), to_fixed(s._mpf_, W)  # each within 1 unit
-    qx, qy = (qa * c) >> W, -((qa * s) >> W)
     P1x, P1y, n1 = _pentagonal(qx, qy, lr, W)
     P2x, P2y, n2 = _pentagonal(*_cmul(qx, qy, qx, qy, W), 2 * lr, W)
     r = _cdiv(P2x, P2y, P1x, P1y, W)
@@ -140,15 +162,14 @@ def _j_certified(point, prec: int):
     ux += 1 << W
     Gx, Gy = _cdiv(*_cmul(*_cmul(ux, uy, ux, uy, W), ux, uy, W), Rx, Ry, W)
     # The error budget in units of 2^-W, for |q| <= 0.006.  q is off by
-    # under 0.006 * 1.5 + 1.01 + sqrt 2 < 3, so P(q) and P(q^2) by 3n + 1.
+    # under 3, so P(q) and P(q^2) by 3n + 1.
     # |P(q)| > 0.99 and 0.99 < |r| < 1.007, so r = P(q^2) / P(q) is off by
     # (e2 + 1.01 e1) / 0.99 + 1.5, and R = r^24, five products, by
     # 29 e_r + 38, with 0.86 < |R| < 1.19.  256 q R scales q's and R's
     # errors by 256 and truncates once.  u = 1 + 256 q R, measured as
     # |u| <= mu, so that at rho, where u vanishes, so do the errors of
     # u^3, 3 mu^2 e_u + 1.5 (mu + 1), and of G = u^3 / R,
-    # (e_u3 + |G| e_R) / 0.86 + 1.5 with |G| <= mu^3 / 0.86.  j = G 1/q
-    # adds |G| 1.5 for e^{i theta} and |G| for E.
+    # (e_u3 + |G| e_R) / 0.86 + 1.5 with |G| <= mu^3 / 0.86.
     mq = min(math.exp(lr), 0.006)
     er = (3 * n2 + 1 + 1.01 * (3 * n1 + 1)) / 0.99 + 1.5
     eR = 29 * er + 38
@@ -156,11 +177,7 @@ def _j_certified(point, prec: int):
     mu = _float_up(abs(ux) + abs(uy) + math.ceil(eu), W)
     mG = mu**3 / 0.86
     eG = (3 * mu * mu * eu + 1.5 * (mu + 1) + mG * eR) / 0.86 + 1.5
-    # j = G e^{i theta} E with E = mE 2^eE, each part truncated to W bits
-    # (under 2 units together)
-    jx = (Gx * c - Gy * s) * mE >> (W - eE)
-    jy = (Gx * s + Gy * c) * mE >> (W - eE)
-    return jx, jy, -(-math.ceil(eG + 2.5 * mG) * mE >> -eE) + 2, W
+    return (*_times_inv(Gx, Gy, math.ceil(eG + 2.5 * mG), inv, W), W)
 
 
 def _parse_fspec(f_spec):
@@ -187,85 +204,83 @@ def _parse_fspec(f_spec):
 
 def eval_modular(f_spec, point, precision: int = 64) -> HP:
     """Certified value of a polynomial in j (or named function) at a point
-    of the standard fundamental domain: tau, or the CM point of a reduced
-    QuadForm."""
+    of the standard fundamental domain, tau or the CM point of a reduced
+    QuadForm; an exact q-expansion goes to eval_qexpansion, at any point
+    of the upper half plane."""
     label, coeffs, qexp, _deg = _parse_fspec(f_spec)
-    if isinstance(point, QuadForm):
-        im = math.sqrt(point.D) / (2 * point.a)
-        if qexp is not None:
-            point = _alpha_of(point, precision)
-    else:
-        with mp.workprec(precision + 32):  # convert without re-rounding the input
-            point = mp.mpc(point)
-        im = float(point.imag)
     if qexp is not None:
         return eval_qexpansion(qexp, point, precision)
+    if not isinstance(point, QuadForm):
+        with mp.workprec(precision + 32):  # convert without re-rounding the input
+            point = mp.mpc(point)
+    im = math.sqrt(point.D) / (2 * point.a) if isinstance(point, QuadForm) else float(point.imag)
     if im < math.sqrt(3) / 2 - 1e-12:
         raise ValueError("tau must lie in the fundamental domain (Im >= sqrt(3)/2)")
     if label == "1":
         return HP(mp.mpc(1), 0.0, precision)
-    x, y, r, W = _poly_ball(coeffs, point, precision)
+    return _ball_hp(*_poly_ball(coeffs, point, precision), precision)
+
+
+def _ball_hp(x: int, y: int, r: int, W: int, precision: int) -> HP:
     value = mp.make_mpc(tuple(from_man_exp(v, -W, precision, "n") for v in (x, y)))
     # one rounding to precision, under |x + iy| 2^-precision
     return HP(value, _float_up(r + (abs(x) + abs(y) >> precision) + 1, W), precision)
 
 
+def _horner(coeffs, zx: int, zy: int, rz: int, W: int):
+    """The ball (x, y, r) of sum_k coeffs[k] z^k, for rational coeffs and
+    the ball z = (zx, zy, rz), by Horner's rule in units of 2^-W."""
+    mz = abs(zx) + abs(zy)
+    c = coeffs[-1]
+    ax, ay, ra = (c.numerator << W) // c.denominator, 0, int(c.denominator > 1)
+    for c in reversed(coeffs[:-1]):
+        # (a + da)(z + dz) - a z = a dz + z da + da dz; truncating the
+        # product and flooring c add under 3 units
+        ra = -(-((abs(ax) + abs(ay)) * rz + mz * ra + ra * rz) >> W) + 3
+        ax, ay = _cmul(ax, ay, zx, zy, W)
+        ax += (c.numerator << W) // c.denominator
+    return ax, ay, ra
+
+
 def _poly_ball(coeffs, point, prec: int):
     """The ball (x, y, r, W) of sum_k coeffs[k] j^k at a point of the
     fundamental domain, by Horner on j's ball, W = prec + 32."""
-    W = prec + 32
-    c = coeffs[-1]
-    ax, ay, ra = (c.numerator << W) // c.denominator, 0, int(c.denominator > 1)
-    if len(coeffs) > 1:
-        jx, jy, rj, _ = _j_certified(point, prec)
-        mj = abs(jx) + abs(jy)
-        for c in reversed(coeffs[:-1]):
-            # (a + da)(j + dj) - a j = a dj + j da + da dj; truncating the
-            # product and flooring c add under 3 units
-            ra = -(-((abs(ax) + abs(ay)) * rj + mj * ra + ra * rj) >> W) + 3
-            ax, ay = _cmul(ax, ay, jx, jy, W)
-            ax += (c.numerator << W) // c.denominator
-    return ax, ay, ra, W
+    z = _j_certified(point, prec)[:3] if len(coeffs) > 1 else (0, 0, 0)
+    return (*_horner(coeffs, *z, prec + 32), prec + 32)
 
 
-def eval_qexpansion(series: QSeries, tau, precision: int = 64) -> HP:
-    """Numerical value of an exact q-expansion at tau (Im tau > 0).
+def _series_ball(series: QSeries, point, prec: int):
+    """The ball (x, y, r, W) of an exact q-expansion at the CM point of a
+    QuadForm or at an mpc tau (Im tau > 0), W = prec + 32.
 
     The terms lie on the series' own grid, exponents v + step k of
-    w = q^(1/denom), so this is q^(v/denom) times a polynomial in
-    z = w^step, summed by Horner.  The error bound covers rounding only;
-    accuracy beyond the series' truncation order is the caller's
-    responsibility (downstream rounding residuals stay honest either way).
+    q^(1/denom), so this is q^(v/denom) times a polynomial in
+    z = q^(step/denom), summed by _horner and scaled by _times_inv.
     """
-    with mp.workprec(precision + 32):
-        tval = mp.mpc(tau)
-    if float(tval.imag) <= 0:
-        raise ValueError("Im tau > 0 required")
+    W = prec + 32
     if not series.terms:
-        return HP(mp.mpc(0), 0.0, precision)
+        return 0, 0, 0, W
     v, step = min(series.terms), _step(series.terms) or 1
-    d, cs = _dense(series.terms, v, step, math.inf)
-    with mp.workprec(precision + 32):
-        arg = 2j * mp.pi * tval / series.denom  # w = e^arg
-        z = mp.exp(step * arg)
-        acc = mp.mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        acc = acc * mp.exp(v * arg) / d
-    # Horner's rounding, relative to S = sum |c_n| |w|^n at precision + 32
-    # bits: at most 5 roundings per step for each term's products and
-    # additions, plus z^k's and w^v's errors inherited from rounding
-    # their arguments, 3 |arg| + 1 roundings per power of z and 3 |arg| + 2
-    # for w^v, and the division by d
-    lw = -2 * math.pi * float(tval.imag) / series.denom  # ln|w|
-    try:
-        S = math.fsum(abs(c.numerator / c.denominator) * math.exp(n * lw) for n, c in series.terms.items())
-    except OverflowError:
-        S = math.inf
-    t = 2 * math.pi * abs(complex(tval)) / series.denom  # |arg|
-    K = len(cs) - 1
-    count = 5 * (K + 1) + K * (3 * t * step + 1) + 3 * t * abs(v) + 8
-    return HP(acc, math.ldexp(S * count, -(precision + 32)), precision)
+    coeffs = [series.terms.get(n, 0) for n in range(v, max(series.terms) + 1, step)]
+    zx, zy, _, inv = _q_power(point, step, series.denom, W)
+    x, y, r = _horner(coeffs, zx, zy, 4, W)
+    inv = inv if v == -step else _q_power(point, -v, series.denom, W)[3]
+    return (*_times_inv(x, y, r + (5 * (abs(x) + abs(y) + r) >> (W + 1)) + 1, inv, W), W)
+
+
+def eval_qexpansion(series: QSeries, point, precision: int = 64) -> HP:
+    """Value of an exact q-expansion at tau (Im tau > 0) or at the CM point
+    of a QuadForm, from the integer ball of _series_ball.  The error bound
+    covers rounding only; accuracy beyond the series' truncation order is
+    the caller's responsibility (downstream rounding residuals stay
+    honest either way).
+    """
+    if not isinstance(point, QuadForm):
+        with mp.workprec(precision + 32):
+            point = mp.mpc(point)
+        if point.imag <= 0:
+            raise ValueError("Im tau > 0 required")
+    return _ball_hp(*_series_ball(series, point, precision), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +311,6 @@ def _form_precision(precision: int, D: int, degree: int, a: int) -> int:
     return min(precision, max(64, precision - drop + 32))
 
 
-def _alpha_of(form: QuadForm, prec: int):
-    with mp.workprec(prec + 32):
-        return mp.mpc(-form.b, mp.sqrt(form.D)) / (2 * form.a)
-
-
 def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntry:
     """Sum of f(alpha_Q)/|stab Q| over the level-p orbit representatives of
     discriminant -D, with certified rounding.  For p = 1 these are the
@@ -310,7 +320,8 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
     `precision` (default precision_for(D, deg)) is that of the a = 1 form
     and is the one reported; for p = 1 each other form [a, b, c] runs at
     the fewer bits of _form_precision, for p > 1 every form runs at it.
-    The terms are summed exactly as integer balls and rounded once.
+    Each term is one integer ball, of _poly_ball or _series_ball; the
+    terms are summed exactly and rounded once.
     """
     label, coeffs, qexp, deg = _parse_fspec(f_spec)
     if p > 1 and qexp is None:
@@ -337,17 +348,9 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
     W = precision + 32
     S = R = 0
     for F, mult, w, bits in terms:
-        if qexp is None:
-            x, _, r, WF = _poly_ball(coeffs, F, bits)
-            x, r = x << (W - WF), r << (W - WF)
-        else:
-            v = eval_qexpansion(qexp, _alpha_of(F, bits), bits)
-            x, eb = to_fixed(v.value.real._mpf_, W), v.error_bound
-            # floor x and floor eb 2^W, each off by under 1; an infinite
-            # bound becomes a radius past the float range
-            r = to_fixed(from_float(eb), W) + 2 if eb < math.inf else 1 << (W + 1024)
-        S += mult * (12 // w) * x
-        R += mult * (12 // w) * r
+        x, _, r, WF = _poly_ball(coeffs, F, bits) if qexp is None else _series_ball(qexp, F, bits)
+        S += mult * (12 // w) * x << (W - WF)
+        R += mult * (12 // w) * r << (W - WF)
     # one rounding to precision, under |S| 2^-precision
     R += (abs(S) >> precision) + 1
     value = mp.make_mpf(mpf_div(from_man_exp(S, -W), from_int(12), precision, "n"))
@@ -435,26 +438,16 @@ def duke_statistic(D: int, precision: int = 53) -> HP:
 
 def _duke_statistic_mp(D: int, precision: int) -> HP:
     # |c(n) q^n| ~ e^{4 pi sqrt n - pi sqrt 3 n}: linear decay wins fast
-    nmax = 24 + int(0.2 * precision)
-    J = bigJ_series(nmax + 1)
-    with mp.workprec(precision + 16):
-        total = mp.mpf(0)
-        h6 = 0
-        for F in enumerate_reduced(D):
-            w = stabilizer_order(F)
-            h6 += 6 // w
-            alpha = _alpha_of(F, precision)
-            q = mp.e ** (2j * mp.pi * alpha)
-            tail = mp.mpc(0)
-            for n in range(nmax, 0, -1):
-                c = J.coeff(n)
-                tail = (tail + mp.mpf(c.numerator) / c.denominator) * q
-            if float(alpha.imag) > 1.0:
-                total += tail.real
-            else:
-                total += (tail + 1 / q).real / w
-        h = Fraction(h6, 6)
-        val = total * h.denominator / h.numerator
+    J = bigJ_series(25 + int(0.2 * precision))
+    tail = J - QSeries.exact({-1: 1})
+    S = h12 = 0  # 12 2^W times the sum, and 12 H(D)
+    for F in enumerate_reduced(D):
+        w = stabilizer_order(F)
+        h12 += 12 // w
+        # above Im alpha = 1, where w = 1, 1/q cancels against e(-alpha)
+        x, _, _, W = _series_ball(tail if D > 4 * F.a * F.a else J, F, precision)
+        S += (12 // w) * x
+    val = mp.make_mpf(mpf_div(from_man_exp(S, -W), from_int(h12), precision, "n"))
     return HP(val, 2.0 ** (-precision + 12) * (abs(float(val)) + 1.0), precision)
 
 

@@ -21,7 +21,6 @@ from mpmath.libmp import from_man_exp
 
 from cmtrace import analytic
 from cmtrace.analytic import (
-    _alpha_of,
     _form_precision,
     _j_certified,
     _parse_fspec,
@@ -36,7 +35,7 @@ from cmtrace.analytic import (
     trace_table,
 )
 from cmtrace.qform import QuadForm, enumerate_reduced, fricke_image, hurwitz, level_p_orbits
-from cmtrace.series import QSeries, eta, faber_poly, g_series, t_series
+from cmtrace.series import QSeries, eta, faber_poly, g_series, j_series, t_series
 
 SQ3 = math.sqrt(3)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -52,6 +51,12 @@ CLASSICS = [
     (0, 16, 287496),    # 66^3
     (0, 28, 16581375),  # 255^3
 ]
+
+
+def _alpha_of(form, prec):
+    # the CM point (-b + i sqrt D) / 2a as an mpc carrying prec + 32 bits
+    with mp.workprec(prec + 32):
+        return mp.mpc(-form.b, mp.sqrt(form.D)) / (2 * form.a)
 
 
 def _j_ball(point, prec):
@@ -245,6 +250,29 @@ class TestTrace:
         assert e.certified
         assert e.value_rounded == t(4 * d) + kronecker * t(d) + (2 * t(d // 4) if d % 4 == 0 else 0)
 
+    def test_kaneko_identity(self):
+        # Kaneko (1996), in Zagier's normalisation: for c(n) the
+        # coefficients of j and t(d) = Tr(J; d),
+        # n c(n) = sum_{r in Z} t(n - r^2)
+        #          + sum_{r >= 1 odd} ((-1)^n t(4n - r^2) - t(16n - r^2)),
+        # with t(0) = 2, t(-1) = -1 and t = 0 at every other d < 0 and at
+        # d = 1, 2 (mod 4); an exact oracle for the p = 1 kernel up to D = 640
+        traces = {0: 2, -1: -1}
+
+        def t(d):
+            if d not in traces:
+                e = trace("J", d)  # 0 for d < 0 and d = 1, 2 (mod 4)
+                assert e.certified, d
+                traces[d] = e.value_rounded
+            return traces[d]
+
+        j = j_series(41)
+        for n in range(1, 41):
+            odd = range(1, math.isqrt(16 * n + 1) + 1, 2)
+            rhs = t(n) + 2 * sum(t(n - r * r) for r in range(1, math.isqrt(n + 1) + 1))
+            rhs += sum((-1) ** n * t(4 * n - r * r) - t(16 * n - r * r) for r in odd)
+            assert n * j.coeff(n) == rhs, n
+
     def test_constant_gives_class_numbers(self):
         for D in (3, 4, 7, 12, 20, 23, 36):
             e = trace("1", D)
@@ -332,6 +360,49 @@ class TestLevelTraces:
         assert e.certified and e.value_rounded == want
         assert abs(_fricke_hauptmodul_trace(1004) - want) < 1e-20
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_sum_with_p_scaled_copy(self, p):
+        # for a level-1 f, Tr*_p(f(tau) + f(p tau); D)
+        # = eps (t(D) - t(D/p^2)) + (p + 1) t(D/p^2) with t = Tr(f; .),
+        # eps = 1 + (-D/p), and t(D/p^2) = 0 unless D/p^2 is a
+        # discriminant: exact, and independent of the representatives
+        def t(D):
+            e = trace("j", D)
+            assert e.certified, D
+            return e.value_rounded
+
+        f = j_series(200)
+        fp = f + f.scale_q(p)
+        for D in range(3, 80):
+            if D % 4 in (1, 2):
+                continue
+            if p == 2:
+                kronecker = 0 if D % 4 == 0 else (1 if D % 8 == 7 else -1)
+            else:
+                kronecker = {0: 0, 1: 1, p - 1: -1}[pow(-D % p, (p - 1) // 2, p)]
+            Dp = D // (p * p) if D % (p * p) == 0 and D // (p * p) % 4 in (0, 3) else 0
+            tp = t(Dp) if Dp else 0
+            e = trace(fp, D, p=p)
+            assert e.certified, D
+            assert e.value_rounded == (1 + kronecker) * (t(D) - tp) + (p + 1) * tp, D
+
+    def test_one_hp_record_per_trace(self, monkeypatch):
+        # each term is an integer ball; the trace builds the one HP
+        built = []
+
+        class CountingHP(analytic.HP):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "HP", CountingHP)
+        for f, D, p in [(_fricke_hauptmodul(), 116, 2), (j_series(60), 23, 1)]:
+            built.clear()
+            assert trace(f, D, p=p).certified
+            assert len(built) == 1, (D, p)
+
     def test_level_requires_qexp(self):
         with pytest.raises(ValueError):
             trace("J", 23, p=2)
@@ -399,6 +470,13 @@ class TestHighPrecision:
         assert out.returncode == 0, out.stderr
         certified, bound = out.stdout.split()
         assert certified == "True" and math.isfinite(float(bound))
+
+    def test_qexpansion_past_float_range(self):
+        # |1/q| = e^{pi sqrt D} > 1e308 at the a = 1 form: the q-expansion's
+        # ball stays finite, like j's
+        e = trace(j_series(120), 60007)
+        assert e.certified and math.isfinite(e.value_numeric.error_bound)
+        assert e.value_rounded == trace("j", 60007).value_rounded
 
     def test_cli_exits_0_past_float_range(self):
         out = _run_isolated(["-m", "cmtrace.cli", "trace", "--f", "J", "--D", "60007", "--no-cache"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace.analytic import _alpha_of, trace
+from cmtrace.analytic import trace
 from cmtrace.qform import (
     QuadForm,
     apply_gl2,
@@ -325,7 +325,14 @@ def test_level_p_rejects_composite():
 
 
 # ---------------------------------------------------------------------------
-# CM points alpha_Q, as the traces evaluate them (analytic._alpha_of)
+# CM points alpha_Q as mpc numbers carrying prec + 32 bits, the reference
+# points at which the evaluation tests compare against mpmath
+
+
+def _alpha_of(form, prec):
+    with mp.workprec(prec + 32):
+        return mp.mpc(-form.b, mp.sqrt(form.D)) / (2 * form.a)
+
 
 def test_cm_point_values():
     z = _alpha_of(QuadForm(1, 1, 1), 80)  # carries 80 + 32 bits
