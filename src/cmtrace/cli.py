@@ -283,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--cmax", type=_COUNT, default=10 ** 5)
+    sp.add_argument("--cmax", type=_COUNT, default=10 ** 5,
+                    help="sum the moduli c <= min(CMAX, 4000); the rest of the"
+                         " series is in the error bound's tail")
 
     sp = add("duke", cmd_duke, "per-discriminant equidistribution statistic")
     sp.add_argument("--range", type=_range_arg, required=True, metavar="LO:HI")

@@ -75,19 +75,26 @@ def _local_cholesky(x, y, steps):
     return q1, q2, q3, a12, a13, a23
 
 
-def _tail_bound(T: float, v: float, qs) -> float:
-    """sum over M(X) > T of (2vM + 1/2pi) e^{-pi v M}, via
-    |km| <= (v s^2 + 1/2pi) e^{-pi v M} and s^2 <= 2M."""
+def _tail_factor(v: float, qs) -> float:
+    """The factor prod (1 + sqrt(2/(v q))) over the node's Cholesky diagonal
+    qs in _tail_bound; it does not depend on T, so a node computes it once."""
     pref = 1.0
     for q in qs:
         pref *= 1.0 + math.sqrt(2.0 / (v * q))
+    return pref
+
+
+def _tail_bound(T: float, v: float, pref: float) -> float:
+    """sum over M(X) > T of (2vM + 1/2pi) e^{-pi v M}, via
+    |km| <= (v s^2 + 1/2pi) e^{-pi v M} and s^2 <= 2M; pref is
+    _tail_factor(v, qs)."""
     return (2 * v * T + _C) * math.exp(-math.pi * v * T / 2.0) * pref
 
 
-def _pick_threshold(v: float, qs, tol: float) -> float:
+def _pick_threshold(v: float, pref: float, tol: float) -> float:
     T = max(1.0, 2.0 / (math.pi * v) * math.log(1.0 / tol + 3.0))
     for _ in range(40):
-        if _tail_bound(T, v, qs) <= tol:
+        if _tail_bound(T, v, pref) <= tol:
             return T
         T += 1.0 + 1.0 / v
     raise RuntimeError("tail threshold search failed")
@@ -147,9 +154,9 @@ def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float, x, y, tol):
     points gets q = [0].
     """
     chol = _local_cholesky(x, y, spec.steps)
-    qs = np.column_stack(chol[:3]).tolist()
-    T = [_pick_threshold(v, qn, tn) for qn, tn in zip(qs, tol.tolist())]
-    tails = np.array([_tail_bound(Tn, v, qn) for Tn, qn in zip(T, qs)])
+    prefs = [_tail_factor(v, qn) for qn in np.column_stack(chol[:3]).tolist()]
+    T = [_pick_threshold(v, pf, tn) for pf, tn in zip(prefs, tol.tolist())]
+    tails = np.array([_tail_bound(Tn, v, pf) for Tn, pf in zip(T, prefs)])
     T = np.array(T)
 
     node, _, X = _coset_points(spec, h, T, chol)
@@ -176,8 +183,8 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
         chol = _local_cholesky(np.array([float(x)]), np.array([float(y)]), spec.steps)
         # threshold from float bound, with slack for the float Gram
         qs = [float(q[0]) * 0.98 for q in chol[:3]]
-        T = _pick_threshold(float(v), qs, tol)
-        tail = _tail_bound(T, float(v) * 0.99, qs)
+        T = _pick_threshold(float(v), _tail_factor(float(v), qs), tol)
+        tail = _tail_bound(T, float(v) * 0.99, _tail_factor(float(v) * 0.99, qs))
 
         # coordinates from the integer indices, at the working precision
         steps = [mp.mpf(float(s)) for s in spec.steps]

@@ -2,23 +2,33 @@
 Fourier coefficients of negative-index Poincare series.
 
 Oracle notes: bessel values are checked against mpmath.besseli at high
-working precision, against sqrt(2/(pi x)) sinh x at order 1/2, and against
-(1/pi) int_0^pi e^{x cos t} cos(nu t) dt by quadrature at integer order;
-K(m,n,c) against a direct complex-exponential sum; the three Poincare
-coefficients against their known integer values (141444, 68234240,
-6446476530).
+working precision, against sqrt(2/(pi x)) sinh x at order 1/2, against
+(1/pi) int_0^pi e^{x cos t} cos(nu t) dt by quadrature at integer order,
+and to the last bit against the mp.besseli route; K(m,n,c) against a
+direct complex-exponential sum and, to the last bit, against the
+per-residue loop; the three Poincare coefficients against their known
+integer values (141444, 68234240, 6446476530) and, to the last bit,
+against pinned reprs.
 """
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace.hp import _ulp
-from cmtrace.sums import _COS_TERM_ERR, bessel_i, exp_sum_S, kloosterman, poincare_coeff
+from cmtrace.hp import HP, _ulp
+from cmtrace.sums import (
+    _COS_TERM_ERR,
+    _kloosterman_run,
+    bessel_i,
+    exp_sum_S,
+    kloosterman,
+    poincare_coeff,
+)
 
 
 def _kloosterman_naive(m, n, c):
@@ -32,7 +42,56 @@ def _kloosterman_naive(m, n, c):
     return tot
 
 
+def _kloosterman_loop(m, n, c):
+    # the per-residue loop the numpy kernel replaced, term for term: the
+    # reference its value and bound must equal exactly
+    if c == 1:
+        return 1.0, 0.0
+    terms = []
+    for d in range(1, c):
+        if math.gcd(d, c) != 1:
+            continue
+        dbar = pow(d, -1, c)
+        r = (m * dbar + n * d) % c
+        terms.append(math.cos(2.0 * math.pi * r / c))
+    val = math.fsum(terms)
+    return val, len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
+
+
+def _bessel_besseli(nu, x, precision=53):
+    # the mp.besseli route bessel_i replaced: the same bits, value and bound
+    p = max(precision, 53)
+    with mp.workprec(p + 24):
+        val = mp.besseli(nu, x)
+    return HP(val, _ulp(abs(float(val)), p), precision)
+
+
+ORACLE_INDICES = [(-1, 1), (-1, 2), (-1, 3), (3, -7), (-2, 5)]
+
+
 class TestKloosterman:
+    @pytest.mark.parametrize("m, n", ORACLE_INDICES)
+    def test_equals_residue_loop(self, m, n):
+        # every c <= 300 one modulus at a time, and in poincare_coeff's
+        # blocks, whose edges at this cap fall at c = 90|91, 127|128, ...
+        for c, blocked in enumerate(_kloosterman_run(m, n, 300), 1):
+            want = _kloosterman_loop(m, n, c)
+            v = kloosterman(m, n, c)
+            assert (float(v.value), v.error_bound) == want
+            assert blocked == want
+
+    @pytest.mark.parametrize("m", [2 ** 62, 10 ** 20, -(10 ** 30) - 3])
+    def test_large_index_reduced_before_int64(self, m):
+        for c in (7, 12, 300):
+            v = kloosterman(m, 1, c)
+            w = kloosterman(m % c, 1, c)
+            assert (v.value, v.error_bound) == (w.value, w.error_bound)
+            assert (float(v.value), v.error_bound) == _kloosterman_loop(m, 1, c)
+
+    def test_modulus_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            kloosterman(1, 1, 2 ** 32)
+
     def test_anchors(self):
         for c, want in [(1, 1), (2, 1), (3, -1), (4, -2)]:
             v = kloosterman(1, 1, c)
@@ -128,6 +187,15 @@ class TestBesselI:
             cf = mp.sqrt(2 / (mp.pi * 1000)) * mp.sinh(1000)
             assert abs(v.value - cf) <= mp.ldexp(cf, -50)
 
+    @pytest.mark.parametrize("nu", [0, 0.5, 3, 13])
+    @pytest.mark.parametrize("precision", [53, 120])
+    def test_equals_besseli_route(self, nu, precision):
+        xs = [1e-3, 0.3, 1.0, 7.5, 22.0, 23.0, 30.0, 55.0, 120.0, 300.0, 714.0, 1000.0]
+        xs += [4 * math.pi * math.sqrt(n) / c for n in (1, 3) for c in range(1, 40)]
+        for x in xs:
+            v, want = bessel_i(nu, x, precision), _bessel_besseli(nu, x, precision)
+            assert (v.value, v.error_bound, v.prec) == (want.value, want.error_bound, want.prec)
+
     @pytest.mark.parametrize("nu", [0, 3, 13])
     @pytest.mark.parametrize("x", [0.3, 7.5, 30.0, 55.0])
     def test_against_integral(self, nu, x):
@@ -159,6 +227,31 @@ class TestPoincare:
         a = poincare_coeff(4, 1, 1, 300)
         b = poincare_coeff(4, 1, 1, 600)
         assert abs(float(a.value) - float(b.value)) <= a.error_bound + b.error_bound
+
+    @pytest.mark.parametrize("n, c_max, value, bound", [
+        (1, 600, "141444.00000003257", "0.0003608141974289255"),
+        (2, 600, "68234239.99999899", "0.002886934467283774"),
+        (3, 600, "6446476529.999984", "0.009754134492306528"),
+        (1, 4000, "141443.99999999953", "8.117664962998753e-06"),
+    ])
+    def test_pinned_bytes(self, n, c_max, value, bound):
+        # the value and bound of the per-residue Kloosterman loop and the
+        # mp.besseli route, to the last bit
+        v = poincare_coeff(4, 1, n, c_max)
+        assert (repr(float(v.value)), repr(v.error_bound)) == (value, bound)
+
+    def test_memory_stays_flat(self):
+        # the Kloosterman kernel holds one block of residues at a time: with
+        # 65,536-residue blocks this peak is 5.0 MiB, with 4,096 it is
+        # 0.35 MiB.  c_max = 600 is the benchmark's size; at 4000,
+        # tracemalloc traces the floats of 4.9 million terms for about 50 s
+        tracemalloc.start()
+        try:
+            poincare_coeff(4, 1, 1, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):

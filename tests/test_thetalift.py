@@ -16,6 +16,7 @@ from cmtrace.thetalift import (
     _panel_quad,
     _pick_threshold,
     _strip_cutoff,
+    _tail_factor,
     eisen_prediction,
     fourier_extract,
     theta_integral,
@@ -67,7 +68,7 @@ def _nodes(x, y, tol):
 
 def _threshold(spec, v, x, y, tol):
     chol = _local_cholesky(np.array([x]), np.array([y]), spec.steps)
-    return _pick_threshold(v, [float(c[0]) for c in chol[:3]], tol)
+    return _pick_threshold(v, _tail_factor(v, [float(c[0]) for c in chol[:3]]), tol)
 
 
 class TestEnumeration:
