@@ -21,6 +21,7 @@ from .analytic import (
     trace,
 )
 from .cache import Cache, cache_key
+from .lattice import LatticeSpec
 from .qform import QuadForm, enumerate_reduced, hurwitz, is_fundamental, reduce, stabilizer_order
 from .series import (
     bigJ_series,
@@ -291,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--range", type=_range_arg, required=True, metavar="LO:HI")
 
     sp = add("theta", cmd_theta, "regularized theta-lift component integral")
-    sp.add_argument("--h", type=int, default=0)
+    sp.add_argument("--h", type=int, default=0, choices=range(len(LatticeSpec.level4().cosets())))
     sp.add_argument("--tau", type=_tau_arg, required=True, metavar="x+yj")
     sp.add_argument("--f", type=_fspec_arg, default="1")
     sp.add_argument("--tol", type=_POSITIVE, default=1e-4)

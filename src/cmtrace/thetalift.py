@@ -11,14 +11,20 @@ gives the closed-form target for the lift of the constant function.
 All bulk numerics are float64/numpy in a fixed summation order (single
 threaded, deterministic); the high-precision path (small tolerances, e.g.
 vanishing certificates) runs the same enumeration under mpmath.
+theta_integral and fourier_extract sum the kernel in float64 only, so
+they refuse tol below 1e-12.
 
-The enumerator works on many quadrature nodes at once: the quadrature
-hands it a whole column (the y-nodes sharing one x), each with its own
-tolerance, and every point carries its node's index through the row
-expansion into one node x q table of sums.  Each node's row equals, bit for
-bit, the sums of the node enumerated alone; theta_kernel and the mpmath sum
-pass a single node.  The quadrature weights the rows after binning and
-applies the phases e(q u) once per column.
+Each node's threshold T is solved directly, for all nodes at once, from a
+tail bound that splits the Gaussian at a fixed theta = 1/8 (_tail_bound
+derives it; the earlier theta = 1/2 asks for about 1.75 times the T).
+
+The enumerator works on many quadrature nodes at once: the quadrature lays
+a panel's columns end to end and hands it blocks of up to 64 nodes, each
+with its own tolerance, and every point carries its node's index through
+the row expansion into one node x q table of sums.  Each node's row
+equals, bit for bit, the sums of the node enumerated alone; theta_kernel
+and the mpmath sum pass a single node.  The quadrature weights the rows
+after binning and applies the phases e(q u) once per block.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from .lattice import LatticeSpec, LatticeVector
 from .qform import hurwitz
 
 _C = 1.0 / (2.0 * math.pi)
+_THETA = 0.125  # the Gaussian's share that _tail_bound spends summing over the coset
+_BLOCK = 64  # quadrature nodes enumerated in one pass
+_FLOAT_TOL = 1e-12  # the least tol the float64 kernel sums serve
 _LEVEL4 = LatticeSpec.level4()  # the default lattice, and the only one the integration supports
 
 
@@ -75,29 +84,66 @@ def _local_cholesky(x, y, steps):
     return q1, q2, q3, a12, a13, a23
 
 
-def _tail_factor(v: float, qs) -> float:
-    """The factor prod (1 + sqrt(2/(v q))) over the node's Cholesky diagonal
-    qs in _tail_bound; it does not depend on T, so a node computes it once."""
+def _tail_factor(v: float, qs):
+    """The factor prod (1 + 1/sqrt(theta v q)) over the Cholesky diagonal
+    qs = (q1, q2, q3) in _tail_bound, one entry per node; it does not
+    depend on T."""
     pref = 1.0
     for q in qs:
-        pref *= 1.0 + math.sqrt(2.0 / (v * q))
+        pref = pref * (1.0 + 1.0 / np.sqrt(_THETA * v * q))
     return pref
 
 
-def _tail_bound(T: float, v: float, pref: float) -> float:
-    """sum over M(X) > T of (2vM + 1/2pi) e^{-pi v M}, via
-    |km| <= (v s^2 + 1/2pi) e^{-pi v M} and s^2 <= 2M; pref is
-    _tail_factor(v, qs)."""
-    return (2 * v * T + _C) * math.exp(-math.pi * v * T / 2.0) * pref
+def _tail_bound(T, v: float, pref):
+    """A bound on the sum over M(X) > T of (2vM + 1/2pi) e^{-pi v M},
+    which bounds |km| there since |km| <= (v s^2 + 1/2pi) e^{-pi v M} and
+    s^2 <= 2M; pref is _tail_factor(v, qs).  It holds for
+    T >= (2/(pi (1 - theta)) - 1/2pi) / 2v, the floor _solve_threshold keeps.
+
+    Split e^{-pi v M} = e^{-pi v (1 - theta) M} e^{-pi v theta M}.  Past the
+    floor, (2vM + 1/2pi) e^{-pi v (1 - theta) M} decreases in M, so every
+    dropped term is at most (2vT + 1/2pi) e^{-pi v (1 - theta) T} times
+    e^{-pi v theta M}.  Summing that over the whole coset one Cholesky
+    coordinate at a time, each sum over n of e^{-pi a (n + c)^2} is at most
+    1 + 1/sqrt(a) (its peak plus the Gaussian integral), with
+    a = theta v q_i.  theta = 1/2, the earlier split, asks for about
+    1.75 times the T that theta = 1/8 does."""
+    return (2 * v * T + _C) * np.exp(-math.pi * v * (1 - _THETA) * T) * pref
 
 
-def _pick_threshold(v: float, pref: float, tol: float) -> float:
-    T = max(1.0, 2.0 / (math.pi * v) * math.log(1.0 / tol + 3.0))
-    for _ in range(40):
-        if _tail_bound(T, v, pref) <= tol:
-            return T
-        T += 1.0 + 1.0 / v
-    raise RuntimeError("tail threshold search failed")
+def _solve_threshold(v: float, pref, tol):
+    """The least T past _tail_bound's floor with _tail_bound(T, v, pref)
+    <= tol, and that bound, for every node at once (pref, tol float64
+    arrays).
+
+    T is the fixed point T = (ln(2vT + 1/2pi) + ln(pref/tol)) / (pi v (1 - theta)).
+    In y = 2vT + 1/2pi it reads k y - ln y = R, with k = pi (1 - theta)/2
+    and R = ln(pref/tol) + k/2pi; the floor is y = 1/k, past which the left
+    side increases and is convex.  Where it is already >= R at the floor,
+    T is the floor.  Elsewhere Newton steps from y = 2/k solve it: each
+    bounds ln y by its tangent at the current y, so every step lands at or
+    above the root and the steps decrease to it.  A node stops once a
+    step moves it by less than 1e-13 relative, so its T does not depend on
+    the other nodes; the bound is then checked, and a node that rounding
+    left above tol is nudged up."""
+    k = math.pi * (1 - _THETA) / 2
+    R = np.log(pref / tol) + k * _C
+    at_floor = R <= 1.0 + math.log(k)  # the bound already holds at y = 1/k
+    y = np.full_like(R, 2.0 / k)
+    for _ in range(100):
+        step = (R + np.log(y) - 1.0) / (k - 1.0 / y)
+        move = ~at_floor & (np.abs(step - y) > 1e-13 * y)
+        if not move.any():
+            break
+        y = np.where(move, step, y)
+    y = np.where(at_floor, 1.0 / k, y)
+    T = (y - _C) / (2 * v)
+    while True:
+        tail = _tail_bound(T, v, pref)
+        over = tail > tol
+        if not over.any():
+            return T, tail
+        T = np.where(over, T * (1.0 + 2.0 ** -40), T)
 
 
 def _rows(rem, ctr, q):
@@ -154,10 +200,8 @@ def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float, x, y, tol):
     points gets q = [0].
     """
     chol = _local_cholesky(x, y, spec.steps)
-    prefs = [_tail_factor(v, qn) for qn in np.column_stack(chol[:3]).tolist()]
-    T = [_pick_threshold(v, pf, tn) for pf, tn in zip(prefs, tol.tolist())]
-    tails = np.array([_tail_bound(Tn, v, pf) for Tn, pf in zip(T, prefs)])
-    T = np.array(T)
+    pref = _tail_factor(v, chol[:3])
+    T, tails = _solve_threshold(v, pref, tol)
 
     node, _, X = _coset_points(spec, h, T, chol)
     s_, qv, M = _s_q_majorant(x[node], y[node], *X)
@@ -181,10 +225,10 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
         u, v = mp.mpf(tau.real), mp.mpf(tau.imag)
         x, y = mp.mpf(z.real), mp.mpf(z.imag)
         chol = _local_cholesky(np.array([float(x)]), np.array([float(y)]), spec.steps)
-        # threshold from float bound, with slack for the float Gram
-        qs = [float(q[0]) * 0.98 for q in chol[:3]]
-        T = _pick_threshold(float(v), _tail_factor(float(v), qs), tol)
-        tail = _tail_bound(T, float(v) * 0.99, _tail_factor(float(v) * 0.99, qs))
+        # threshold and tail from the float bound, with slack for the float Gram
+        vs = float(v) * 0.99
+        pref = _tail_factor(vs, [q * 0.98 for q in chol[:3]])
+        T, tail = _solve_threshold(vs, pref, np.array([tol]))
 
         # coordinates from the integer indices, at the working precision
         steps = [mp.mpf(float(s)) for s in spec.steps]
@@ -194,7 +238,7 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
 
         total = mp.mpc(0)
         abssum = mp.mpf(0)
-        _, k, _ = _coset_points(spec, h, np.array([T]), chol)
+        _, k, _ = _coset_points(spec, h, T, chol)
         for kk in zip(*(a.tolist() for a in k)):
             X = [(n + o) * s for n, o, s in zip(kk, off, steps)]
             s_, qx, M = _s_q_majorant(x, y, *X)
@@ -204,7 +248,7 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
             total += term
             abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
         rnd = float(abssum) * (k[0].size + 8) * 2.0 ** (-(precision + 16) + 4)
-    return total, tail + rnd
+    return total, float(tail[0]) + rnd
 
 
 def _resolve_h(spec: LatticeSpec, h):
@@ -228,7 +272,7 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, precision: int = None) -> HP:
     if tol <= 0:
         raise ValueError("tol > 0 required")
 
-    if tol >= 1e-12 and precision is None:
+    if tol >= _FLOAT_TOL and precision is None:
         qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, tt.imag, np.array([zz.real]),
                                            np.array([zz.imag]), np.array([tol]))
         val = complex(np.sum(sums[0] * np.exp(2j * math.pi * qq * tt.real)))
@@ -265,8 +309,11 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
     The domain is folded onto x >= 0 (theta(tau, -zbar) = theta(tau, z),
     via X -> (x1, -x2, -x3)), so the input enters through 2 Re f.  It is
     cut at y = Y into the arc panel below y = 1 and unit strips above,
-    each integrated at degree 12 and 18 (27 when those disagree).
+    each integrated at degree 12 and 18 (27 when those disagree).  The
+    kernel sums are float64, so tol below _FLOAT_TOL raises ValueError.
     """
+    if not tol >= _FLOAT_TOL:
+        raise ValueError(f"tol >= {_FLOAT_TOL:g} required: the kernel sums are float64")
     hv = _resolve_h(_LEVEL4, h)
     f_vals, n0, alead = _f_grid_evaluator(f_spec)
     Y = y_top if y_top is not None else _strip_cutoff(v, n0, alead, tol)
@@ -299,20 +346,25 @@ def _panel_quad(ya, yb, n, hv, v, f_vals, tol, us):
     panel when ya is None, else the strip ya <= y <= yb); returns
     (I_j contributions, kernel-truncation error pushed through the measure).
 
-    Per column, the node rows of the q table are weighted by the fold, the
-    measure dx dy / y^2 and Re f after binning (weighting each term before
-    binning loses the cancellation inside the q = 0 bin), then take one
-    phase product."""
+    The panel's columns are laid end to end and enumerated in blocks of
+    _BLOCK nodes.  Per block, the node rows of the q table are weighted by
+    the fold, the measure dx dy / y^2 and Re f after binning (weighting each
+    term before binning loses the cancellation inside the q = 0 bin), then
+    take one phase product."""
+    cols = list(_fd_columns(n, ya, yb))
+    xs = np.concatenate([np.full_like(ys, x) for x, _, ys, _ in cols])
+    ys = np.concatenate([ys for _, _, ys, _ in cols])
+    fv = f_vals(xs, ys).real
+    tols = tol * ys * ys / (40.0 * (1.0 + np.abs(fv)))
+    wxy = np.concatenate([2.0 * wx * wys for _, wx, _, wys in cols])
+    wf = wxy / (ys * ys) * fv  # fold + measure
     out = np.zeros(us.size, dtype=complex)
     kerr = 0.0
-    for x, wx, ys, wys in _fd_columns(n, ya, yb):
-        xs = np.full_like(ys, x)
-        fv = f_vals(xs, ys).real
-        tols = tol * ys * ys / (40.0 * (1.0 + np.abs(fv)))
-        qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, v, xs, ys, tols)
-        wf = 2.0 * wx * wys / (ys * ys) * fv  # fold + measure
-        out += np.exp(2j * math.pi * (us[:, None] * qq)) @ (wf @ sums)
-        kerr += float(np.abs(wf) @ tails)
+    for b in range(0, xs.size, _BLOCK):
+        blk = slice(b, b + _BLOCK)
+        qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, v, xs[blk], ys[blk], tols[blk])
+        out += np.exp(2j * math.pi * (us[:, None] * qq)) @ (wf[blk] @ sums)
+        kerr += float(np.abs(wf[blk]) @ tails)
     return out, kerr
 
 

@@ -203,6 +203,7 @@ class TestExitCodes:
         ("series", "--name", "g", "--dmax", "-5"),
         ("classnum", "--D", "-1"),
         ("trace", "--f", "J", "--D", "-7"),
+        ("theta", "--tau", "1j", "--h", "9"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2
@@ -210,6 +211,11 @@ class TestExitCodes:
     def test_computational_failure_exits_3(self, capsys):
         # height below the truncation design's floor
         assert run(["theta", "--tau", "0.1+0.2j"]) == 3
+
+    def test_theta_tolerance_past_float_kernel_exits_3(self, capsys):
+        # this used to run for minutes
+        assert run(["theta", "--h", "0", "--tau", "0.3+1.5j", "--tol", "1e-300"]) == 3
+        assert "tol >= 1e-12 required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, cmax, what", [
         # I_3(4 pi sqrt 4000) = I_3(794.7) > 1e308: the float64 c-sum

@@ -2,20 +2,24 @@
 Eisenstein target for the constant lift."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cmtrace.analytic import _f_grid_evaluator
+from cmtrace.analytic import _f_grid_evaluator, _fd_columns
 from cmtrace.lattice import LatticeSpec, LatticeVector, pair, x_of_z
 from cmtrace.thetalift import (
+    _BLOCK,
+    _THETA,
     _coset_points,
     _enumerate_qsums,
     _integral_profile,
     _local_cholesky,
     _panel_quad,
-    _pick_threshold,
+    _solve_threshold,
     _strip_cutoff,
+    _tail_bound,
     _tail_factor,
     eisen_prediction,
     fourier_extract,
@@ -49,6 +53,8 @@ def _brute_force(spec, h, x, y, T):
     return [kk[inside] for kk in k], [xx[inside] for xx in X], M(*X)[inside]
 
 
+SPEC_CASES = [(LEVEL4, 0, 1.0), (LEVEL4, 1, 0.5), (LatticeSpec.level4p(2), 37, 1.0)]
+
 ENUM_CASES = [  # (spec, coset index, x, y, v, tol)
     (LEVEL4, 0, 0.1, 1.1, 1.0, 1e-10),
     (LEVEL4, 1, 0.45, 0.9, 0.5, 1e-6),
@@ -58,7 +64,7 @@ ENUM_CASES = [  # (spec, coset index, x, y, v, tol)
 # each case's node is enumerated in one call together with these nodes
 # (x, y, tol); EMPTY_NODE holds no point of level4p(2) coset 37 at v = 1
 EMPTY_NODE = (0.2, 1.0, 0.9)
-COMPANIONS = [(0.45, 0.87, 1e-3), EMPTY_NODE, (0.05, 2.0, 1e-8)]
+COMPANIONS = [(0.45, 0.87, 1e-3), EMPTY_NODE, (0.05, 2.0, 1e-12)]
 
 
 def _nodes(x, y, tol):
@@ -68,7 +74,7 @@ def _nodes(x, y, tol):
 
 def _threshold(spec, v, x, y, tol):
     chol = _local_cholesky(np.array([x]), np.array([y]), spec.steps)
-    return _pick_threshold(v, _tail_factor(v, [float(c[0]) for c in chol[:3]]), tol)
+    return float(_solve_threshold(v, _tail_factor(v, chol[:3]), np.array([tol]))[0][0])
 
 
 class TestEnumeration:
@@ -115,28 +121,90 @@ class TestEnumeration:
                 assert abs(got[b] - t) <= 1e-13 * absref[b]
 
     @pytest.mark.parametrize("kind, n, xi", [("arc", 12, 0), ("arc", 27, 26), ("rect", 18, 5)])
-    @pytest.mark.parametrize("spec, hi, v", [(LEVEL4, 0, 1.0), (LEVEL4, 1, 0.5),
-                                             (LatticeSpec.level4p(2), 37, 1.0)])
+    @pytest.mark.parametrize("spec, hi, v", SPEC_CASES)
     def test_column_matches_nodes_alone(self, kind, n, xi, spec, hi, v):
-        # one quadrature column, tolerances as _panel_quad sets them for J
-        h = spec.cosets()[hi]
+        # one quadrature column
         g = np.polynomial.legendre.leggauss(n)[0]
         x = 0.25 * (g[xi] + 1.0)
         y0, y1 = (math.sqrt(1.0 - x * x), 1.0) if kind == "arc" else (1.0, 2.0)
         ys = 0.5 * (y1 - y0) * (g + 1.0) + y0
-        xs = np.full_like(ys, x)
-        fv = _f_grid_evaluator("J")[0](xs, ys)
-        tols = 1e-3 * ys * ys / (40.0 * (1.0 + np.abs(fv.real)))
-        q, column, tails = _enumerate_qsums(spec, h, v, xs, ys, tols)
-        assert column.shape == (n, q.size) and tails.shape == (n,)
-        for j, sums in enumerate(column):
-            q1, (sums1,), (tail1,) = _enumerate_qsums(spec, h, v, xs[j:j + 1], ys[j:j + 1],
-                                                      tols[j:j + 1])
-            own = (q >= q1[0]) & (q <= q1[-1])  # node j's own q-range
-            assert q[own].tobytes() == q1.tobytes()
-            assert sums[own].tobytes() == sums1.tobytes()
-            assert not sums[~own].any()
-            assert repr(tails[j]) == repr(tail1)
+        _assert_each_node_as_alone(spec, spec.cosets()[hi], v, np.full_like(ys, x), ys)
+
+    @pytest.mark.parametrize("n, ya, yb, b", [(12, None, None, 0), (18, 1.0, 2.0, 2)])
+    @pytest.mark.parametrize("spec, hi, v", SPEC_CASES)
+    def test_block_across_columns_matches_nodes_alone(self, n, ya, yb, b, spec, hi, v):
+        # block b of a panel's columns laid end to end, as _panel_quad cuts them
+        cols = list(_fd_columns(n, ya, yb))
+        xs = np.concatenate([np.full_like(ys, x) for x, _, ys, _ in cols])
+        ys = np.concatenate([ys for _, _, ys, _ in cols])
+        blk = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        assert _BLOCK == 64 and np.unique(xs[blk]).size > 2
+        _assert_each_node_as_alone(spec, spec.cosets()[hi], v, xs[blk], ys[blk])
+
+
+def _assert_each_node_as_alone(spec, h, v, xs, ys):
+    """One pass over the nodes (tolerances as _panel_quad sets them for J)
+    gives each node, bit for bit, the (q, sums, tail) it gets alone."""
+    fv = _f_grid_evaluator("J")[0](xs, ys)
+    tols = 1e-3 * ys * ys / (40.0 * (1.0 + np.abs(fv.real)))
+    q, rows, tails = _enumerate_qsums(spec, h, v, xs, ys, tols)
+    assert rows.shape == (xs.size, q.size) and tails.shape == (xs.size,)
+    for j, sums in enumerate(rows):
+        q1, (sums1,), (tail1,) = _enumerate_qsums(spec, h, v, xs[j:j + 1], ys[j:j + 1],
+                                                  tols[j:j + 1])
+        own = (q >= q1[0]) & (q <= q1[-1])  # node j's own q-range
+        assert q[own].tobytes() == q1.tobytes()
+        assert sums[own].tobytes() == sums1.tobytes()
+        assert not sums[~own].any()
+        assert repr(tails[j]) == repr(tail1)
+
+
+# (spec, coset index, x, y, v, tol); the last node's tol puts its T on the floor
+TAIL_NODES = [
+    (LEVEL4, 0, 0.1, 1.1, 1.0, 1e-6),
+    (LEVEL4, 1, 0.45, 0.9, 0.5, 1e-4),
+    (LEVEL4, 0, 0.0, 2.5, 0.5, 1e-3),
+    (LEVEL4, 1, 0.2, 1.0, 2.0, 1e-8),
+    (LatticeSpec.level4p(2), 37, 0.3, 1.3, 1.0, 1e-6),
+    (LEVEL4, 0, 0.25, 0.97, 1.5, 0.5),
+    (LEVEL4, 1, 0.05, 4.0, 0.5, 1e-2),
+    (LEVEL4, 0, 0.3, 1.5, 1.0, 50.0),
+]
+
+
+def _solved(spec, x, y, v, tol):
+    chol = _local_cholesky(np.array([x]), np.array([y]), spec.steps)
+    pref = _tail_factor(v, chol[:3])
+    (T,), (tail,) = _solve_threshold(v, pref, np.array([tol]))
+    return T, tail, pref
+
+
+def _floor(v):
+    # where (2vT + 1/2pi) e^{-pi v (1 - theta) T} starts to decrease
+    return (2.0 / (math.pi * (1.0 - _THETA)) - 1.0 / (2.0 * math.pi)) / (2.0 * v)
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("spec, hi, x, y, v, tol", TAIL_NODES)
+    def test_bound_covers_dropped_terms(self, spec, hi, x, y, v, tol):
+        # every point with T < M <= T + 30/v, found by brute force
+        T, tail, _ = _solved(spec, x, y, v, tol)
+        _, X, M = _brute_force(spec, spec.cosets()[hi], x, y, T + 30.0 / v)
+        s = pair(LatticeVector(*X), x_of_z(complex(x, y)))
+        km = np.abs(v * s * s - 1 / (2 * math.pi)) * np.exp(-math.pi * v * M)
+        dropped = km[M > T]
+        assert dropped.size > 10
+        assert math.fsum(dropped.tolist()) <= tail <= tol
+
+    @pytest.mark.parametrize("spec, hi, x, y, v, tol", TAIL_NODES)
+    def test_threshold_is_least(self, spec, hi, x, y, v, tol):
+        T, tail, pref = _solved(spec, x, y, v, tol)
+        assert T >= _floor(v)
+        assert float(_tail_bound(T, v, pref)[0]) == tail <= tol
+        if T > _floor(v) * (1 + 1e-9):
+            assert float(_tail_bound(T * (1 - 1e-9), v, pref)[0]) > tol
+        else:
+            assert tol == 50.0  # only the last node sits on the floor
 
 
 class TestKernel:
@@ -247,6 +315,15 @@ class TestIntegral:
         assert np.abs(got - ref).max() <= 1e-13 * scale
         assert abs(err - ref_err) <= 1e-13 * ref_err
 
+    @pytest.mark.parametrize("tol", [1e-13, 1e-30, 1e-300, 0.0])
+    def test_tolerance_below_float_kernel_rejected(self, tol):
+        # 1e-300 used to run for minutes, and 1e-30 returned an error_bound
+        # of 1.7e-16, far above what it was asked for
+        with pytest.raises(ValueError, match="tol >= 1e-12"):
+            theta_integral(0, 0.3 + 1.5j, "1", tol=tol)
+        with pytest.raises(ValueError, match="tol >= 1e-12"):
+            fourier_extract(0, 1, 1.0, "J", tol=tol)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             theta_integral(0, 0.2j, "J")
@@ -264,6 +341,18 @@ class TestFourierExtract:
     def test_first_even_trace(self):
         c = fourier_extract(0, 1, 1.0, "J", tol=1e-3)
         assert abs(float(c.value) - 492) < 0.02 * 492
+
+    def test_peak_memory(self):
+        # blocks of _BLOCK nodes bound the node x q tables: one pass per
+        # whole panel peaks at about 4.5 MiB, one per 128 nodes at 1.8 MiB
+        fourier_extract(0, 1, 1.0, "J", tol=1e-3)  # fills the j and Gauss-Legendre caches
+        tracemalloc.start()
+        try:
+            fourier_extract(0, 1, 1.0, "J", tol=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     def test_coset_congruence_enforced(self):
         with pytest.raises(ValueError):
