@@ -1,6 +1,5 @@
 """The signature (1,2) quadratic space of trace-zero 2x2 matrices, its
-even lattices, the Kudla-Millson kernel scalar, and Weil representation
-matrices on the discriminant group.
+even lattices, and the Weil representation on the discriminant group.
 
 Vectors are stored as coordinate triples (x1, x2, x3) for
 X = [[x1, x2], [x3, -x1]], with q(X) = det X = -x1^2 - x2*x3 and
@@ -14,10 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
-
-from .hp import HP, _ulp
 
 
 @dataclass(frozen=True)
@@ -95,141 +91,26 @@ class LatticeSpec:
         return 2 * (s2 * s3) ** 2 * s1 * s1
 
 
-def x_of_z(z) -> LatticeVector:
-    """The norm-1 vector spanning the negative line attached to z:
-    X(z) = (1/y) [[-x, |z|^2], [-1, x]]."""
-    zz = complex(z)
-    x, y = zz.real, zz.imag
-    if y <= 0:
-        raise ValueError("Im z > 0 required")
-    return LatticeVector(-x / y, (x * x + y * y) / y, -1.0 / y)
-
-
-def majorant(X: LatticeVector, z) -> HP:
-    """(X, X(z))^2 - (X, X): positive definite, vanishing only at X = 0."""
-    s = pair_with_xz(X, z)
-    x1 = float(X.x1)
-    val = s * s + 2 * x1 * x1 + 2 * float(X.x2) * float(X.x3)
-    return HP(mp.mpf(val), 16 * _ulp(abs(val) + 1.0, 53), 53)
-
-
-def pair_with_xz(X: LatticeVector, z) -> float:
-    zz = complex(z)
-    x, y = zz.real, zz.imag
-    return (2 * x * float(X.x1) + float(X.x2) - (x * x + y * y) * float(X.x3)) / y
-
-
-def km_value(X: LatticeVector, tau, z, precision: int = 53) -> HP:
-    """Scalar multiplying the invariant (1,1)-form in phi(X, tau, z):
-
-        (v s^2 - 1/(2 pi)) e^{-pi v s^2 + pi v (X,X)} e^{2 pi i q(X) u}
-
-    with s = (X, X(z)), tau = u + iv.  Its modulus is
-    (|v s^2 - 1/(2 pi)|) e^{-pi v majorant(X, z)}.
-    """
-    tt = complex(tau)
-    u, v = tt.real, tt.imag
-    if v <= 0:
-        raise ValueError("Im tau > 0 required")
-    p = precision + 16
-    with mp.workprec(p):
-        zz = mp.mpc(z)
-        x, y = zz.real, zz.imag
-        if y <= 0:
-            raise ValueError("Im z > 0 required")
-        s = (2 * x * mp.mpf(float(X.x1)) + mp.mpf(float(X.x2)) - (x * x + y * y) * mp.mpf(float(X.x3))) / y
-        nrm = 2 * _frac_to_mpf(X.q())
-        val = (v * s * s - 1 / (2 * mp.pi)) * mp.e ** (-mp.pi * v * s * s + mp.pi * v * nrm)
-        qx = _frac_to_mpf(X.q())
-        val = val * mp.e ** (2j * mp.pi * qx * u)
-    return HP(val, 64 * _ulp(abs(complex(val)) + 1e-300, precision), precision)
-
-
-def _frac_to_mpf(x):
-    f = Fraction(x)
-    return mp.mpf(f.numerator) / f.denominator
-
-
-# ---------------------------------------------------------------------------
-# discriminant groups and the Weil representation
-
-@dataclass(frozen=True)
-class DiscForm:
-    elements: tuple          # coset representatives as (x1, x2, x3) Fractions
-    qvals: dict              # element -> q mod 1 (Fraction in [0,1))
-    pairing: dict            # (element, element) -> pairing mod 1
-    signature_mod8: int
-
-    def validate(self):
-        for h in self.elements:
-            for k in self.elements:
-                if self.pairing[(h, k)] != self.pairing[(k, h)]:
-                    raise ValueError("pairing not symmetric")
-                # q(h+k) - q(h) - q(k) = (h,k) mod 1
-                hk = tuple(a + b for a, b in zip(h, k))
-                qhk = _qmod1(hk)
-                if (qhk - self.qvals[h] - self.qvals[k]) % 1 != self.pairing[(h, k)]:
-                    raise ValueError("pairing inconsistent with q")
-        return True
-
-
-def _qmod1(t) -> Fraction:
-    return (-Fraction(t[0]) ** 2 - Fraction(t[1]) * Fraction(t[2])) % 1
-
-
-def _pairmod1(h, k) -> Fraction:
-    return (-2 * Fraction(h[0]) * Fraction(k[0]) - Fraction(h[1]) * Fraction(k[2])
-            - Fraction(h[2]) * Fraction(k[1])) % 1
-
-
-def disc_form_of(spec: LatticeSpec) -> DiscForm:
-    els = tuple((Fraction(h.x1), Fraction(h.x2), Fraction(h.x3)) for h in spec.cosets())
-    qv = {h: _qmod1(h) for h in els}
-    pr = {(h, k): _pairmod1(h, k) for h in els for k in els}
-    d = DiscForm(els, qv, pr, signature_mod8=(-1) % 8)
-    d.validate()
-    return d
-
-
-@dataclass(frozen=True)
-class WeilRepMatrices:
-    elements: tuple
-    T: np.ndarray
-    S: np.ndarray
-
-
-def _e(x: Fraction) -> complex:
+def _e(x) -> complex:
     return cmath.exp(2j * math.pi * float(x))
 
 
-def weil_rep(d: DiscForm) -> WeilRepMatrices:
-    """rho(T) e_h = e(q(h)) e_h and
-    rho(S) e_h = (e(1/8)/sqrt(n)) sum_h' e(-(h,h')) e_h'."""
-    d.validate()
-    n = len(d.elements)
-    T = np.diag([_e(d.qvals[h]) for h in d.elements]).astype(complex)
-    S = np.zeros((n, n), dtype=complex)
-    root_i = cmath.exp(1j * math.pi / 4)
-    for a, h in enumerate(d.elements):
-        for b, hp_ in enumerate(d.elements):
-            S[b, a] = root_i / math.sqrt(n) * _e(-d.pairing[(h, hp_)])
-    return WeilRepMatrices(d.elements, T, S)
+def weil_rep(spec: LatticeSpec):
+    """The Weil representation rho_L on C[L'/L], in the basis spec.cosets():
+    (T, S, P) with
 
+        rho(T) e_h = e(q(h)) e_h,
+        rho(S) e_h = (e(1/8) / sqrt(n)) sum_h' e(-(h, h')) e_h',
 
-def negation_permutation(d: DiscForm) -> np.ndarray:
-    """Matrix of e_h -> e_{-h} on the discriminant group."""
-    n = len(d.elements)
-    idx = {h: i for i, h in enumerate(d.elements)}
+    q and (,) taken mod 1, and P the permutation matrix of e_h -> e_{-h}."""
+    cs = spec.cosets()
+    n = len(cs)
+    T = np.diag([_e(h.q() % 1) for h in cs])
+    c = cmath.exp(1j * math.pi / 4) / math.sqrt(n)
+    S = np.array([[c * _e(-(pair(h, k) % 1)) for k in cs] for h in cs])
+    index = {h: i for i, h in enumerate(cs)}
     P = np.zeros((n, n))
-    for i, h in enumerate(d.elements):
-        neg = tuple((-x) % s for x, s in zip(h, _coset_moduli(d)))
-        P[idx[neg], i] = 1.0
-    return P
-
-
-def _coset_moduli(d: DiscForm):
-    # modulus per coordinate: smallest lattice step in that coordinate,
-    # recovered from the element list (max denominator trick not needed:
-    # steps are the per-coordinate ranges spanned by the representatives)
-    cols = list(zip(*d.elements))
-    return tuple(max(c) + min(x for x in c if x > 0) if any(c) else Fraction(1) for c in cols)
+    for i, h in enumerate(cs):
+        neg = LatticeVector(*((-x) % s for x, s in zip((h.x1, h.x2, h.x3), spec.steps)))
+        P[index[neg], i] = 1.0
+    return T, S, P

@@ -53,32 +53,13 @@ class OrbitRep:
 
 
 # ---------------------------------------------------------------------------
-# GL2 action and reduction
-
-def apply_gl2(g, Q: QuadForm) -> QuadForm:
-    """g.Q for g = [[p,q],[r,s]] in SL2(Z), acting by (g.Q)(v) = Q(g^{-1}v)."""
-    p, q = g[0]
-    r, s = g[1]
-    if p * s - q * r != 1:
-        raise ValueError("need det 1")
-    a, b, c = Q.a, Q.b, Q.c
-    # Q(sx - qy, -rx + py)
-    a2 = a * s * s - b * s * r + c * r * r
-    b2 = -2 * a * s * q + b * (s * p + q * r) - 2 * c * r * p
-    c2 = a * q * q - b * q * p + c * p * p
-    return QuadForm(a2, b2, c2)
-
+# Reduction
 
 def _mat_mul(g, h):
     return (
         (g[0][0] * h[0][0] + g[0][1] * h[1][0], g[0][0] * h[0][1] + g[0][1] * h[1][1]),
         (g[1][0] * h[0][0] + g[1][1] * h[1][0], g[1][0] * h[0][1] + g[1][1] * h[1][1]),
     )
-
-
-def _mat_inv(g):
-    (p, q), (r, s) = g
-    return ((s, -q), (-r, p))
 
 
 _ID = ((1, 0), (0, 1))
@@ -149,48 +130,6 @@ def _stab_generator(R: QuadForm):
     if R.b == 0 and R.a == R.c:
         return _S  # order 2 in PSL2
     return None
-
-
-def _psl2_canon(g):
-    """Sign-canonical representative of +-g."""
-    if g[1][0] < 0 or (g[1][0] == 0 and g[1][1] < 0):
-        return tuple(tuple(-e for e in row) for row in g)
-    return g
-
-
-def stabilizer_elements(R: QuadForm):
-    """All PSL2-stabilizer elements of a reduced form (one matrix per
-    projective class, sign-canonical)."""
-    sig = _stab_generator(R)
-    out = [_ID]
-    if sig is None:
-        return out
-    g = sig
-    while _psl2_canon(g) != _ID:
-        out.append(_psl2_canon(g))
-        g = _mat_mul(sig, g)
-    return out
-
-
-def transporter(Q1: QuadForm, Q2: QuadForm):
-    """All g in PSL2(Z) with g.Q1 = Q2 (empty if inequivalent).
-
-    Positive definiteness makes this set finite: it is a coset of the
-    stabilizer of the common reduced form, so at most 3 matrices.  The
-    library names Gamma_0(p)-classes by gamma0_class; this explicit set is
-    the independent reference the tests check it against.
-    """
-    R1, g1 = reduce_with_transform(Q1)
-    R2, g2 = reduce_with_transform(Q2)
-    if R1 != R2:
-        return []
-    g2inv = _mat_inv(g2)
-    out = []
-    for s in stabilizer_elements(R1):
-        g = _psl2_canon(_mat_mul(g2inv, _mat_mul(s, g1)))
-        if g not in out:
-            out.append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +260,6 @@ def gamma0_class(Q: QuadForm, p: int):
     R, g = reduce_with_transform(Q)
     label = _normalize_label(-g[1][0], g[0][0], p)
     return R, min(_label_orbit(label, _stab_generator(R), p))
-
-
-def is_gamma0_equivalent(Q1: QuadForm, Q2: QuadForm, p: int) -> bool:
-    """Exact Gamma_0(p)-equivalence: equal class keys."""
-    return gamma0_class(Q1, p) == gamma0_class(Q2, p)
 
 
 def level_p_orbits(D: int, p: int):

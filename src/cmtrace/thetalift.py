@@ -2,8 +2,7 @@
 
 theta_kernel sums the terms (v s^2 - 1/(2 pi)) e^{-pi v M} e(q(X) u),
 built from _s_q_majorant's s, q(X) and majorant M, over a dual coset of
-the lattice with a certified Gaussian tail (lattice.km_value is the same
-term for one X, the tests' scalar reference); theta_integral pairs the
+the lattice with a certified Gaussian tail; theta_integral pairs the
 kernel with a weakly holomorphic input over the modular curve;
 fourier_extract reads trace coefficients off the lift; eisen_prediction
 gives the closed-form target for the lift of the constant function.
@@ -251,20 +250,21 @@ def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
     return total, float(tail[0]) + rnd
 
 
-def _resolve_h(spec: LatticeSpec, h):
+def _resolve_h(h):
     if isinstance(h, LatticeVector):
         return h
-    cs = spec.cosets()
+    cs = _LEVEL4.cosets()
     if not isinstance(h, int) or not 0 <= h < len(cs):
         raise ValueError(f"h must be a coset index in 0..{len(cs) - 1} or a LatticeVector")
     return cs[h]
 
 
-def theta_kernel(h, tau, z, tol: float = 1e-10, precision: int = None) -> HP:
-    """Sum of the Kudla-Millson terms (km_value of each X) over the dual
-    coset h + L of the level-4 lattice, with certified truncation error
-    <= tol.  Float64 path for ordinary tolerances, mpmath otherwise."""
-    hv = _resolve_h(_LEVEL4, h)
+def theta_kernel(h, tau, z, tol: float = 1e-10) -> HP:
+    """Sum of the Kudla-Millson terms (v s^2 - 1/(2 pi)) e^{-pi v M} e(q(X) u)
+    over the dual coset h + L of the level-4 lattice, with certified
+    truncation error <= tol.  Float64 path for tol >= 1e-12, otherwise
+    mpmath at max(64, -log2(tol) + 48) bits."""
+    hv = _resolve_h(h)
     tt = complex(tau)
     zz = complex(z)
     if tt.imag <= 0 or zz.imag <= 0:
@@ -272,14 +272,14 @@ def theta_kernel(h, tau, z, tol: float = 1e-10, precision: int = None) -> HP:
     if tol <= 0:
         raise ValueError("tol > 0 required")
 
-    if tol >= _FLOAT_TOL and precision is None:
+    if tol >= _FLOAT_TOL:
         qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, tt.imag, np.array([zz.real]),
                                            np.array([zz.imag]), np.array([tol]))
         val = complex(np.sum(sums[0] * np.exp(2j * math.pi * qq * tt.real)))
         err = float(tails[0]) + 1e-14 * (float(np.abs(sums[0]).sum()) + 1.0)
         return HP(mp.mpc(val), err, 53)
 
-    prec = precision or max(64, int(-math.log2(tol)) + 48)
+    prec = max(64, int(-math.log2(tol)) + 48)
     val, err = _enumerate_sum_mp(_LEVEL4, hv, tt, zz, tol, prec)
     return HP(val, err, prec)
 
@@ -314,7 +314,7 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
     """
     if not tol >= _FLOAT_TOL:
         raise ValueError(f"tol >= {_FLOAT_TOL:g} required: the kernel sums are float64")
-    hv = _resolve_h(_LEVEL4, h)
+    hv = _resolve_h(h)
     f_vals, n0, alead = _f_grid_evaluator(f_spec)
     Y = y_top if y_top is not None else _strip_cutoff(v, n0, alead, tol)
     us = np.asarray(us, dtype=float)
@@ -386,12 +386,17 @@ def fourier_extract(h, m, v: float, f_spec, grid_size: int = 8,
 
     m must lie in q(h) + Z; the raw integral carries twice the trace, and
     the 1/2 is applied here.
+
+    tol bounds the error of the integral profile, not of the coefficient:
+    the returned bound is (err + |Im raw|) e^{2 pi m v} / 2 plus the alias
+    term, err the profile's bound.  At m = 1, v = 1 that is about 268
+    times the profile's error (0.0204 at tol 1e-3).
     """
     if grid_size < 8:
         raise ValueError("grid_size >= 8 required")
     if v < 0.5:
         raise ValueError("v >= 1/2 required")
-    hv = _resolve_h(_LEVEL4, h)
+    hv = _resolve_h(h)
     mf = Fraction(m).limit_denominator(64) if not isinstance(m, Fraction) else Fraction(m)
     if (mf - Fraction(hv.q())) % 1 != 0:
         raise ValueError(f"m = {m} is not congruent to q(h) mod 1")

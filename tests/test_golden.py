@@ -1,14 +1,17 @@
 """Golden CLI output: stdout of fixed commands is byte-identical to the
-committed files under tests/data/golden.
+committed files under tests/data/golden.  `verify` reports are compared
+with every `seconds` field dropped.
 
-The quadrature commands (theta, avg) print floats that depend on the numpy
-version, so they are compared only under the numpy version recorded in
-numpy_version.txt there, and skipped under any other.  After a deliberate
-output change, regenerate every file (and that record) with
+The quadrature commands (theta, avg) and `verify weil` print floats that
+depend on the numpy version, so they are compared only under the numpy
+version recorded in numpy_version.txt there, and skipped under any other.
+After a deliberate output change, regenerate every file (and that record)
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -33,22 +36,36 @@ COMMANDS = {
     "exactformula_3": ["exactformula", "--D", "3", "--cmax", "400"],
     "poincare_4_1_2": ["poincare", "--k", "4", "--m", "1", "--n", "2", "--cmax", "300"],
     "duke_500_600": ["duke", "--range", "500:600"],
+    "verify_decay": ["verify", "decay"],
 }
-QUADRATURE_COMMANDS = {
+NUMPY_COMMANDS = {
     "theta_0_J": ["theta", "--h", "0", "--tau", "0.25+1.5j", "--f", "J", "--tol", "1e-4"],
     "avg_J": ["avg", "--f", "J"],
+    "verify_weil": ["verify", "weil"],
 }
 NUMPY_VERSION = GOLDEN_DIR / "numpy_version.txt"
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS) + sorted(QUADRATURE_COMMANDS))
+def _stdout(argv, out: str) -> str:
+    """out with every `seconds` field dropped when argv runs `verify`."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k != "seconds"}
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+    return json.dumps(strip(json.loads(out)), indent=2) + "\n" if argv[0] == "verify" else out
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS) + sorted(NUMPY_COMMANDS))
 def test_stdout_matches_golden(name, capsys):
-    if name in QUADRATURE_COMMANDS:
+    if name in NUMPY_COMMANDS:
         recorded = NUMPY_VERSION.read_text(encoding="utf-8").strip()
         if np.__version__ != recorded:
             pytest.skip(f"recorded under numpy {recorded}, installed {np.__version__}")
-    assert run({**COMMANDS, **QUADRATURE_COMMANDS}[name] + ["--no-cache"]) == 0
-    out = capsys.readouterr().out
+    argv = {**COMMANDS, **NUMPY_COMMANDS}[name]
+    assert run(argv + ["--no-cache"]) == 0
+    out = _stdout(argv, capsys.readouterr().out)
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
@@ -58,10 +75,10 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     NUMPY_VERSION.write_text(np.__version__ + "\n", encoding="utf-8")
-    for name, argv in {**COMMANDS, **QUADRATURE_COMMANDS}.items():
+    for name, argv in {**COMMANDS, **NUMPY_COMMANDS}.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run(argv + ["--no-cache"])
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")
-        (GOLDEN_DIR / f"{name}.txt").write_text(buf.getvalue(), encoding="utf-8")
+        (GOLDEN_DIR / f"{name}.txt").write_text(_stdout(argv, buf.getvalue()), encoding="utf-8")

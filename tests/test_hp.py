@@ -4,7 +4,7 @@ bound validation, and HP records refused where a point is expected."""
 import mpmath as mp
 import pytest
 
-from cmtrace import lattice, thetalift
+from cmtrace import thetalift
 from cmtrace.analytic import beta_integral, eval_modular, eval_qexpansion
 from cmtrace.hp import HP, _ulp
 from cmtrace.series import g_series
@@ -83,7 +83,6 @@ def test_rounding_below_float_range_charged_absolute_floor():
 
 
 _I = HP(mp.mpc(0, 1), 1e-3, 64)  # an uncertain point: its radius would be dropped
-_X = lattice.LatticeVector(1, 0, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -93,10 +92,6 @@ _X = lattice.LatticeVector(1, 0, 0)
     pytest.param(lambda: thetalift.theta_kernel(0, 1j, _I), id="theta_kernel-z"),
     pytest.param(lambda: thetalift.theta_integral(0, _I, "J"), id="theta_integral"),
     pytest.param(lambda: thetalift.eisen_prediction(_I), id="eisen_prediction"),
-    pytest.param(lambda: lattice.x_of_z(_I), id="x_of_z"),
-    pytest.param(lambda: lattice.pair_with_xz(_X, _I), id="pair_with_xz"),
-    pytest.param(lambda: lattice.km_value(_X, _I, 1j), id="km_value-tau"),
-    pytest.param(lambda: lattice.km_value(_X, 1j, _I), id="km_value-z"),
 ])
 def test_hp_inputs_rejected(call):
     # points are plain complex or mpc numbers; an HP would be taken as exact

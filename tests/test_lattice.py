@@ -9,20 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmtrace.lattice import (
-    DiscForm,
-    LatticeSpec,
-    LatticeVector,
-    disc_form_of,
-    km_value,
-    majorant,
-    negation_permutation,
-    pair,
-    pair_with_xz,
-    weil_rep,
-    x_of_z,
-)
+from cmtrace.lattice import LatticeSpec, LatticeVector, pair, weil_rep
 from cmtrace.qform import QuadForm, enumerate_reduced
+from references import km_value, majorant, pair_with_xz, x_of_z
 
 TOL40 = 2.0 ** -40
 
@@ -187,62 +176,61 @@ class TestLatticeSpecs:
             assert spec.gram_det() == (2 if spec.p == 1 else 32 * spec.p ** 2)
 
 
+def _assert_pairing_polarizes_q(spec):
+    # weil_rep reads q and (,) mod 1 on the cosets: (h, k) is symmetric and
+    # equals q(h + k) - q(h) - q(k)
+    cs = spec.cosets()
+    for h in cs:
+        for k in cs:
+            hk = LatticeVector(h.x1 + k.x1, h.x2 + k.x2, h.x3 + k.x3)
+            assert pair(h, k) == pair(k, h) == hk.q() - h.q() - k.q()
+
+
 class TestDiscForms:
     def test_level4_disc_form(self):
-        d = disc_form_of(LatticeSpec.level4())
-        assert len(d.elements) == 2
-        assert sorted(d.qvals.values()) == [0, Fraction(3, 4)]
-        assert d.signature_mod8 == 7
-        assert d.validate()
+        spec = LatticeSpec.level4()
+        T, _, _ = weil_rep(spec)
+        assert T.shape == (2, 2)
+        assert [h.q() % 1 for h in spec.cosets()] == [0, Fraction(3, 4)]
+        _assert_pairing_polarizes_q(spec)
 
     def test_level4p_disc_form(self):
-        d = disc_form_of(LatticeSpec.level4p(2))
-        assert len(d.elements) == 128
-        assert d.validate()
+        spec = LatticeSpec.level4p(2)
+        T, S, P = weil_rep(spec)
+        assert T.shape == S.shape == P.shape == (128, 128)
+        _assert_pairing_polarizes_q(spec)
 
     def test_milgram(self):
-        # sum of e(q(h)) = sqrt(|disc|) e(signature / 8)
+        # sum of e(q(h)) = sqrt(|disc|) e(signature / 8), signature -1 = 7 mod 8
         for spec in (LatticeSpec.level4(), LatticeSpec.level4p(2)):
-            d = disc_form_of(spec)
-            s = sum(cmath.exp(2j * math.pi * float(d.qvals[h])) for h in d.elements)
-            want = math.sqrt(len(d.elements)) * cmath.exp(2j * math.pi * 7 / 8)
-            assert abs(s - want) < 1e-9 * len(d.elements)
-
-    def test_validate_catches_bad_pairing(self):
-        d = disc_form_of(LatticeSpec.level4())
-        h0, h1 = d.elements
-        broken = dict(d.pairing)
-        broken[(h1, h1)] = Fraction(1, 4)
-        with pytest.raises(ValueError):
-            DiscForm(d.elements, d.qvals, broken, 7).validate()
+            T, _, _ = weil_rep(spec)
+            n = len(T)
+            want = math.sqrt(n) * cmath.exp(2j * math.pi * 7 / 8)
+            assert abs(np.trace(T) - want) < 1e-9 * n
 
 
 class TestWeilRep:
     @pytest.mark.parametrize("spec", [LatticeSpec.level4(), LatticeSpec.level4p(2)],
                              ids=["level4", "level8"])
     def test_relations(self, spec):
-        d = disc_form_of(spec)
-        w = weil_rep(d)
-        n = len(d.elements)
-        eye = np.eye(n)
-        assert np.abs(w.T @ w.T.conj().T - eye).max() < TOL40
-        assert np.abs(w.S @ w.S.conj().T - eye).max() < TOL40
-        st = w.S @ w.T
-        assert np.abs(st @ st @ st - w.S @ w.S).max() < TOL40
+        T, S, _ = weil_rep(spec)
+        eye = np.eye(len(T))
+        assert np.abs(T @ T.conj().T - eye).max() < TOL40
+        assert np.abs(S @ S.conj().T - eye).max() < TOL40
+        st = S @ T
+        assert np.abs(st @ st @ st - S @ S).max() < TOL40
 
     @pytest.mark.parametrize("spec", [LatticeSpec.level4(), LatticeSpec.level4p(2)],
                              ids=["level4", "level8"])
     def test_s_squared_is_signature_phase_times_flip(self, spec):
-        d = disc_form_of(spec)
-        w = weil_rep(d)
-        P = negation_permutation(d)
-        assert np.abs(P @ P - np.eye(len(d.elements))).max() == 0
+        _, S, P = weil_rep(spec)
+        assert np.abs(P @ P - np.eye(len(P))).max() == 0
         want = cmath.exp(-2j * math.pi * (-1) / 4) * P
-        assert np.abs(w.S @ w.S - want).max() < TOL40
+        assert np.abs(S @ S - want).max() < TOL40
 
     def test_level4_matrices_explicit(self):
-        w = weil_rep(disc_form_of(LatticeSpec.level4()))
-        assert np.abs(w.T - np.diag([1, -1j])).max() < 1e-15
+        T, S, _ = weil_rep(LatticeSpec.level4())
+        assert np.abs(T - np.diag([1, -1j])).max() < 1e-15
         root_i = cmath.exp(1j * math.pi / 4)
         want = root_i / math.sqrt(2) * np.array([[1, 1], [1, -1]])
-        assert np.abs(w.S - want).max() < 1e-15
+        assert np.abs(S - want).max() < 1e-15

@@ -14,20 +14,18 @@ from hypothesis import strategies as st
 from cmtrace.analytic import trace
 from cmtrace.qform import (
     QuadForm,
-    apply_gl2,
     enumerate_reduced,
     fricke_image,
     hurwitz,
     hurwitz_table,
     is_fundamental,
-    is_gamma0_equivalent,
     level_p_orbits,
     reduce,
     reduce_with_transform,
     stabilizer_order,
-    transporter,
 )
 from cmtrace.series import QSeries
+from references import apply_gl2, is_gamma0_equivalent, transporter
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
