@@ -21,7 +21,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_mul_i
 
 from .hp import HP, _ulp
 from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
-from .series import QSeries, _step, bigJ_series, faber_poly, j_series
+from .series import DomainError, QSeries, _poly_in_j, _step, bigJ_series, faber_poly
 
 _LN2 = math.log(2.0)
 
@@ -203,16 +203,20 @@ def _parse_fspec(f_spec):
 
 
 def eval_modular(f_spec, point, precision: int = 64) -> HP:
-    """Certified value of a polynomial in j (or named function) at a point
-    of the standard fundamental domain, tau or the CM point of a reduced
-    QuadForm; an exact q-expansion goes to eval_qexpansion, at any point
-    of the upper half plane."""
+    """Certified value of f at tau or at the CM point of a reduced
+    QuadForm: a polynomial in j (or named function) in the standard
+    fundamental domain, or an exact q-expansion anywhere in the upper half
+    plane.  A q-expansion's error bound covers rounding only; accuracy
+    beyond the series' truncation order is the caller's responsibility
+    (downstream rounding residuals stay honest either way)."""
     label, coeffs, qexp, _deg = _parse_fspec(f_spec)
-    if qexp is not None:
-        return eval_qexpansion(qexp, point, precision)
     if not isinstance(point, QuadForm):
         with mp.workprec(precision + 32):  # convert without re-rounding the input
             point = mp.mpc(point)
+    if qexp is not None:
+        if not isinstance(point, QuadForm) and point.imag <= 0:
+            raise ValueError("Im tau > 0 required")
+        return _ball_hp(*_series_ball(qexp, point, precision), precision)
     im = math.sqrt(point.D) / (2 * point.a) if isinstance(point, QuadForm) else float(point.imag)
     if im < math.sqrt(3) / 2 - 1e-12:
         raise ValueError("tau must lie in the fundamental domain (Im >= sqrt(3)/2)")
@@ -266,21 +270,6 @@ def _series_ball(series: QSeries, point, prec: int):
     x, y, r = _horner(coeffs, zx, zy, 4, W)
     inv = inv if v == -step else _q_power(point, -v, series.denom, W)[3]
     return (*_times_inv(x, y, r + (5 * (abs(x) + abs(y) + r) >> (W + 1)) + 1, inv, W), W)
-
-
-def eval_qexpansion(series: QSeries, point, precision: int = 64) -> HP:
-    """Value of an exact q-expansion at tau (Im tau > 0) or at the CM point
-    of a QuadForm, from the integer ball of _series_ball.  The error bound
-    covers rounding only; accuracy beyond the series' truncation order is
-    the caller's responsibility (downstream rounding residuals stay
-    honest either way).
-    """
-    if not isinstance(point, QuadForm):
-        with mp.workprec(precision + 32):
-            point = mp.mpc(point)
-        if point.imag <= 0:
-            raise ValueError("Im tau > 0 required")
-    return _ball_hp(*_series_ball(series, point, precision), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +361,20 @@ def trace_table(f_spec, Ds, p: int = 1):
 # ---------------------------------------------------------------------------
 # exact formula / Duke statistic
 
+def _require_disc(D: int):
+    if D <= 0 or D % 4 in (1, 2):
+        raise DomainError("D must be 0 or 3 mod 4")
+
+
 def exact_formula_tJ(D: int, c_max: int = 10000) -> HP:
     """-24 H(D) + sum over 0 < c = 0 (mod 4), c <= c_max of
     S(D,c) sinh(4 pi sqrt(D)/c).  Partial sum by contract; the series
     converges too slowly for certified summation."""
     from .sums import exp_sum_S
 
-    if D <= 0 or D % 4 in (1, 2):
-        raise ValueError("D must be 0 or 3 mod 4")
+    _require_disc(D)
     if c_max % 4:
-        raise ValueError("c_max must be divisible by 4")
+        raise DomainError("c_max must be divisible by 4")
     h = hurwitz(D)
     total = -24.0 * h.numerator / h.denominator
     err = _ulp(abs(total), 53)
@@ -404,6 +397,15 @@ def _J_coeff_floats(nmax: int):
     return [float(J.coeff(n)) for n in range(1, nmax + 1)]
 
 
+def _J_tail(q, coeffs):
+    """sum_{n>=1} coeffs[n-1] q^n by Horner's rule, at a complex q or at
+    an array of them: J(tau) - 1/q through the given coefficients."""
+    tail = 0j
+    for c in reversed(coeffs):
+        tail = (tail + c) * q
+    return tail
+
+
 def duke_statistic(D: int, precision: int = 53) -> HP:
     """(t_J(D) - sum over reduced forms with Im alpha > 1 of e(-alpha_Q))
     divided by H(D).
@@ -412,8 +414,7 @@ def duke_statistic(D: int, precision: int = 53) -> HP:
     Im alpha > 1 the pair J(alpha) - e(-alpha) is the tail sum
     sum_{n>=1} c(n) q^n, which is free of the e^{pi sqrt D} cancellation.
     """
-    if D <= 0 or D % 4 in (1, 2):
-        raise ValueError("D must be 0 or 3 mod 4")
+    _require_disc(D)
     if precision > 53:
         return _duke_statistic_mp(D, precision)
     coeffs = _J_coeff_floats(24)
@@ -424,9 +425,7 @@ def duke_statistic(D: int, precision: int = 53) -> HP:
         h6 += 6 // w
         alpha = complex(-F.b, math.sqrt(D)) / (2 * F.a)
         q = cmath.exp(2j * math.pi * alpha)
-        tail = 0.0j
-        for c in reversed(coeffs):
-            tail = (tail + c) * q
+        tail = _J_tail(q, coeffs)
         if alpha.imag > 1.0:
             total += tail.real  # w = 1 out here; 1/q cancels against e(-alpha)
         else:
@@ -471,11 +470,7 @@ def _f_grid_evaluator(f_spec):
 
         return f_const, 0, abs(cst)
 
-    js = j_series(deg + 2)
-    fs = QSeries({0: coeffs[-1]}, deg + 2)
-    for c in reversed(coeffs[:-1]):
-        fs = fs * js + QSeries({0: c}, deg + 2)
-    if fs.coeff(0) != 0:
+    if _poly_in_j(coeffs, 1).coeff(0) != 0:
         raise ValueError("f must have vanishing constant term (or be the constant 1)")
 
     fc = [float(c) for c in coeffs]
@@ -484,10 +479,7 @@ def _f_grid_evaluator(f_spec):
     def f_vals(x, y):
         # f at x + iy on the grid, via j = 1/q + 744 + sum c(n) q^n
         q = np.exp(2j * np.pi * (np.asarray(x) + 1j * np.asarray(y)))
-        tail = np.zeros_like(q)
-        for c in reversed(jc):
-            tail = (tail + c) * q
-        jv = 1.0 / q + 744.0 + tail
+        jv = 1.0 / q + 744.0 + _J_tail(q, jc)
         out = np.zeros_like(q)
         for c in reversed(fc):
             out = out * jv + c

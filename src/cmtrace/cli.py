@@ -24,6 +24,7 @@ from .cache import Cache, cache_key
 from .lattice import LatticeSpec
 from .qform import QuadForm, enumerate_reduced, hurwitz, is_fundamental, reduce, stabilizer_order
 from .series import (
+    DomainError,
     bigJ_series,
     delta_series,
     eisenstein,
@@ -117,28 +118,33 @@ def cmd_forms(args, cache):
     return reports.render_table(rows, reports.FORM_FIELDS, args.format), 0
 
 
+def _cached(cache, operation: str, inputs: dict, precision, compute):
+    """The rows cached under (operation, inputs, precision), or compute()'s
+    rows, stored there."""
+    key = cache_key(operation, inputs, precision)
+    rows = cache.get(key)
+    if rows is None:
+        rows = compute()
+        cache.put(key, rows)
+    return rows
+
+
 def cmd_classnum(args, cache):
     if args.D is not None:
         Ds = [args.D]
     else:
         Ds = list(range(args.range[0], args.range[1] + 1))
-    key = cache_key("classnum", {"Ds": Ds}, "exact")
-    rows = cache.get(key)
-    if rows is None:
-        rows = [{"D": D, "H": hurwitz(D)} for D in Ds]
-        cache.put(key, rows)
+    rows = _cached(cache, "classnum", {"Ds": Ds}, "exact",
+                   lambda: [{"D": D, "H": hurwitz(D)} for D in Ds])
     return reports.render_table(rows, reports.CLASSNUM_FIELDS, args.format), 0
 
 
 def cmd_trace(args, cache):
     Ds = _resolve_Ds(args)
-    key = cache_key("trace", {"f": args.f, "Ds": Ds}, args.precision or "policy")
-    rows = cache.get(key)
-    if rows is None:
-        # Ds is sorted and distinct: this is trace_table at --precision
-        rows = [reports.trace_row(trace(args.f, D, precision=args.precision))
-                for D in Ds]
-        cache.put(key, rows)
+    # Ds is sorted and distinct: this is trace_table at --precision
+    rows = _cached(cache, "trace", {"f": args.f, "Ds": Ds}, args.precision or "policy",
+                   lambda: [reports.trace_row(trace(args.f, D, precision=args.precision))
+                            for D in Ds])
     code = 0 if all(r["certified"] for r in rows) else 3
     return reports.render_table(rows, reports.TRACE_FIELDS, args.format), code
 
@@ -157,37 +163,32 @@ def cmd_series(args, cache):
     elif name.startswith("J") and name[1:].isdigit():
         s = faber(int(name[1:]), args.dmax + 1)
     else:
-        raise ValueError(f"unknown series {name!r}; know {sorted(_SERIES)} and Jm")
+        raise DomainError(f"unknown series {name!r}; know {sorted(_SERIES)} and Jm")
     rows = [{"exponent": int(e) if e.denominator == 1 else e, "coefficient": c}
             for e, c in s.items() if e <= args.dmax]
     return reports.render_table(rows, reports.SERIES_FIELDS, args.format), 0
 
 
+def _value_fields(r) -> dict:
+    """A float64 HP's value and error bound, as table fields."""
+    return {"value": float(r.value), "error_bound": r.error_bound}
+
+
+# exactformula and poincare compute in float64 throughout, so every
+# --precision shares one cache entry
+
 def cmd_exactformula(args, cache):
     Ds = _resolve_Ds(args)
-    # float64 throughout, so every --precision shares one entry
-    key = cache_key("exactformula", {"Ds": Ds, "c_max": args.cmax}, 53)
-    rows = cache.get(key)
-    if rows is None:
-        rows = []
-        for D in Ds:
-            r = exact_formula_tJ(D, c_max=args.cmax)
-            rows.append({"D": D, "c_max": args.cmax, "value": float(r.value),
-                         "error_bound": r.error_bound})
-        cache.put(key, rows)
+    rows = _cached(cache, "exactformula", {"Ds": Ds, "c_max": args.cmax}, 53,
+                   lambda: [{"D": D, "c_max": args.cmax,
+                             **_value_fields(exact_formula_tJ(D, c_max=args.cmax))} for D in Ds])
     return reports.render_table(rows, reports.EXACTFORMULA_FIELDS, args.format), 0
 
 
 def cmd_poincare(args, cache):
-    # float64 throughout, so every --precision shares one entry
-    key = cache_key("poincare", {"k": args.k, "m": args.m, "n": args.n,
-                                 "c_max": args.cmax}, 53)
-    rows = cache.get(key)
-    if rows is None:
-        r = poincare_coeff(args.k, args.m, args.n, args.cmax)
-        rows = [{"k": args.k, "m": args.m, "n": args.n, "c_max": args.cmax,
-                 "value": float(r.value), "error_bound": r.error_bound}]
-        cache.put(key, rows)
+    inputs = {"k": args.k, "m": args.m, "n": args.n, "c_max": args.cmax}
+    rows = _cached(cache, "poincare", inputs, 53,
+                   lambda: [{**inputs, **_value_fields(poincare_coeff(args.k, args.m, args.n, args.cmax))}])
     return reports.render_table(rows, reports.POINCARE_FIELDS, args.format), 0
 
 
@@ -210,8 +211,7 @@ def cmd_theta(args, cache):
 
 
 def cmd_avg(args, cache):
-    r = regularized_average(args.f)
-    rows = [{"f": args.f, "value": float(r.value), "error_bound": r.error_bound}]
+    rows = [{"f": args.f, **_value_fields(regularized_average(args.f))}]
     return reports.render_table(rows, reports.AVG_FIELDS, args.format), 0
 
 
@@ -323,7 +323,7 @@ def run(argv) -> int:
         text, code = args.fn(args, cache)
     except (ValueError, NotImplementedError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DomainError) else 3
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

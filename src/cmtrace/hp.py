@@ -23,8 +23,8 @@ def _ulp(mag: float, prec: int) -> float:
 class HP:
     __slots__ = ("value", "error_bound", "prec")
 
-    def __init__(self, value, error_bound: float = 0.0, prec: int | None = None):
-        self.prec = int(prec if prec is not None else mp.mp.prec)
+    def __init__(self, value, error_bound: float, prec: int):
+        self.prec = int(prec)
         is_complex = isinstance(value, (mp.mpc, complex))
         # convert at the declared precision, not the ambient context's:
         # otherwise a high-precision value constructed from a low-precision

@@ -25,15 +25,6 @@ class LatticeVector:
     def q(self):
         return -self.x1 * self.x1 - self.x2 * self.x3
 
-    def norm(self):  # (X, X) = 2 q(X)
-        return 2 * self.q()
-
-    def __neg__(self):
-        return LatticeVector(-self.x1, -self.x2, -self.x3)
-
-    def as_matrix(self):
-        return ((self.x1, self.x2), (self.x3, -self.x1))
-
 
 def pair(X: LatticeVector, Y: LatticeVector):
     """(X, Y) = -tr(XY)."""
@@ -45,28 +36,19 @@ class LatticeSpec:
     """An even lattice in V given by coordinate sublattices
     x1 in s1*Z, x2 in s2*Z, x3 in s3*Z, plus its dual-coset data."""
 
-    name: str
-    p: int
     steps: tuple  # (s1, s2, s3)
 
     @classmethod
     def level4(cls) -> "LatticeSpec":
         # integer b, c, a in [[b, c], [a, -b]]
-        return cls("level4", 1, (1, 1, 1))
+        return cls((1, 1, 1))
 
     @classmethod
     def level4p(cls, p: int) -> "LatticeSpec":
         # [[b, 2c], [2ap, -b]]
         if p < 2:
             raise ValueError("p >= 2")
-        return cls("level4p", p, (1, 2, 2 * p))
-
-    def member(self, X: LatticeVector) -> bool:
-        for x, s in zip((X.x1, X.x2, X.x3), self.steps):
-            f = Fraction(x)
-            if f.denominator != 1 or f.numerator % s:
-                return False
-        return True
+        return cls((1, 2, 2 * p))
 
     def dual_steps(self) -> tuple:
         # (Y, e_i) in Z for the three basis vectors forces: x1 in (1/2)Z,
@@ -84,11 +66,6 @@ class LatticeSpec:
                 for k in range(n3):
                     out.append(LatticeVector(i * d[0], j * d[1], k * d[2]))
         return out
-
-    def gram_det(self) -> int:
-        s1, s2, s3 = self.steps
-        # Gram of (s1 e1, s2 e2, s3 e3): det = 2 (s2 s3)^2 ... sign dropped
-        return 2 * (s2 * s3) ** 2 * s1 * s1
 
 
 def _e(x) -> complex:

@@ -18,6 +18,11 @@ class TruncationError(Exception):
     pass
 
 
+class DomainError(ValueError):
+    """An argument outside the function's domain: the caller's mistake, not
+    a failure to meet a precision or budget contract."""
+
+
 def _as_frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -416,17 +421,30 @@ def eisenstein(k: int, trunc: int) -> QSeries:
     return QSeries(terms, trunc, 1)
 
 
+def _cut(s: QSeries, trunc: int) -> QSeries:
+    """s on its coarsest grid, known below q^trunc and no further."""
+    s = s.normalized()
+    assert s.truncation_order >= trunc
+    return s.with_trunc(trunc)
+
+
 def delta_series(trunc: int) -> QSeries:
-    d = (eta(trunc + 2) ** 24).normalized()
-    assert d.truncation_order >= trunc
-    return d.with_trunc(trunc)
+    return _cut(eta(trunc + 2) ** 24, trunc)
 
 
 def j_series(trunc: int) -> QSeries:
     e4 = eisenstein(4, trunc + 2)
-    j = (e4**3 / delta_series(trunc + 2)).normalized()
-    assert j.truncation_order >= trunc
-    return j.with_trunc(trunc)
+    return _cut(e4**3 / delta_series(trunc + 2), trunc)
+
+
+def _poly_in_j(coeffs, trunc: int) -> QSeries:
+    """sum_k coeffs[k] j^k below q^trunc, by Horner's rule in j: each
+    product with j, of valuation -1, costs one known order."""
+    j = j_series(trunc + len(coeffs) - 1)
+    out = QSeries.exact({0: coeffs[-1]})
+    for c in reversed(coeffs[:-1]):
+        out = out * j + c
+    return _cut(out, trunc)
 
 
 def bigJ_series(trunc: int) -> QSeries:
@@ -449,18 +467,14 @@ def g_series(trunc: int) -> QSeries:
     T = trunc + 2
     num = eta(T) ** 2 * eisenstein(4, T).scale_q(4)
     den = eta(T, scale=2) * eta(T, scale=4) ** 6
-    s = (-(num / den)).normalized()
-    assert s.truncation_order >= trunc
-    return s.with_trunc(trunc)
+    return _cut(-(num / den), trunc)
 
 
 def t_series(trunc: int) -> QSeries:
     """Hauptmodul of the genus-zero group of level 4:
     t = eta(tau)^8 / eta(4 tau)^8 = q^-1 - 8 + 20 q - 62 q^3 + ..."""
     T = trunc + 2
-    s = (eta(T) ** 8 / eta(T, scale=4) ** 8).normalized()
-    assert s.truncation_order >= trunc
-    return s.with_trunc(trunc)
+    return _cut(eta(T) ** 8 / eta(T, scale=4) ** 8, trunc)
 
 
 def faber_poly(m: int) -> list:
@@ -472,7 +486,7 @@ def faber_poly(m: int) -> list:
 @lru_cache(maxsize=None)
 def _faber_coeffs(m: int) -> tuple:
     if m < 1:
-        raise ValueError("m >= 1")
+        raise DomainError("m >= 1")
     j = j_series(m + 2)
     powers = [QSeries.one().with_trunc(m + 2)]
     for _ in range(m):
@@ -492,17 +506,7 @@ def _faber_coeffs(m: int) -> tuple:
 
 def faber(m: int, trunc: int) -> QSeries:
     """J_m = q^-m + O(q), the degree-m monic polynomial in j."""
-    coeffs = faber_poly(m)
-    j = j_series(trunc + m)
-    out = QSeries.zero(trunc)
-    power = QSeries.one()
-    for e in range(0, m + 1):
-        if coeffs[e]:
-            out = out + coeffs[e] * power
-        if e < m:
-            power = power * j
-    assert out.truncation_order >= trunc
-    return out.with_trunc(trunc)
+    return _poly_in_j(faber_poly(m), trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 
 from .hp import HP, _ulp
+from .series import DomainError
 
 # per-term evaluation noise for a cos(2*pi*rational) in float64
 _COS_TERM_ERR = 5e-15
@@ -149,9 +150,9 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
     bound, which decays like C^{-(k-2)}.
     """
     if k % 2 or not (4 <= k <= 14):
-        raise ValueError("k must be even, 4 <= k <= 14")
+        raise DomainError("k must be even, 4 <= k <= 14")
     if m < 1 or n < 1 or c_max < 1:
-        raise ValueError("m, n, c_max >= 1")
+        raise DomainError("m, n, c_max >= 1")
     C = min(c_max, _POINCARE_C_CAP)
     xmn = 4.0 * pi * math.sqrt(m * n)
     # the c-sum runs in float64: fail before it if the c = 1 term, the

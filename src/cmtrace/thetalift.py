@@ -310,7 +310,8 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
     via X -> (x1, -x2, -x3)), so the input enters through 2 Re f.  It is
     cut at y = Y into the arc panel below y = 1 and unit strips above,
     each integrated at degree 12 and 18 (27 when those disagree).  The
-    kernel sums are float64, so tol below _FLOAT_TOL raises ValueError.
+    kernel sums are float64, so tol below _FLOAT_TOL raises ValueError,
+    and so does an error bound that comes out above tol.
     """
     if not tol >= _FLOAT_TOL:
         raise ValueError(f"tol >= {_FLOAT_TOL:g} required: the kernel sums are float64")
@@ -338,6 +339,8 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
             change = float(np.abs(fine[0] - base[0]).max())
         vals += fine[0]
         err += change + fine[1]
+    if not err <= tol:
+        raise ValueError(f"the quadrature's error bound {err:.3g} exceeds tol {tol:g}")
     return vals, err
 
 

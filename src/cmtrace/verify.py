@@ -8,6 +8,7 @@ full suite adds the theta-integral comparisons.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import tempfile
@@ -49,24 +50,44 @@ def _admissible(lo: int, hi: int):
     return [D for D in range(max(lo, 3), hi + 1) if D % 4 in (0, 3)]
 
 
+FAST_CHECKS = {}  # name -> check, in definition order
+FULL_CHECKS = {}  # the fast checks, then the theta-integral comparisons
+
+
+def _check(name: str, identity: str, full_only: bool = False):
+    """Register a check body returning (passed, detail) under `name`, in
+    FULL_CHECKS and, unless full_only, in FAST_CHECKS.  The registered
+    check times the body and returns its CheckResult; it keeps the body's
+    signature, which run_suite reads to route dmax, cmax and tol."""
+    def register(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.time()
+            passed, detail = body(*args, **kwargs)
+            return CheckResult(name, identity, passed, detail, time.time() - t0)
+
+        if not full_only:
+            FAST_CHECKS[name] = check
+        FULL_CHECKS[name] = check
+        return check
+    return register
+
+
 # ---------------------------------------------------------------------------
 
-def check_zagier(dmax: int = 500) -> CheckResult:
-    ident = "traces of J equal coefficients of the weight-3/2 eta-quotient series"
-    t0 = time.time()
+@_check("zagier", "traces of J equal coefficients of the weight-3/2 eta-quotient series")
+def check_zagier(dmax: int = 500):
     g = g_series(dmax + 1)
     table = trace_table("J", _admissible(3, dmax))
     bad = []
     for e in table:
         if not e.certified or e.value_rounded != g.coeff(e.D):
             bad.append(e.D)
-    detail = f"D <= {dmax}: {len(table)} traces, mismatches {bad[:5]}"
-    return CheckResult("zagier", ident, not bad, detail, time.time() - t0)
+    return not bad, f"D <= {dmax}: {len(table)} traces, mismatches {bad[:5]}"
 
 
-def check_faber(dmax: int = 200) -> CheckResult:
-    ident = "traces of Faber polynomials equal plus-space coefficients; constant term 2*sigma1(m)"
-    t0 = time.time()
+@_check("faber", "traces of Faber polynomials equal plus-space coefficients; constant term 2*sigma1(m)")
+def check_faber(dmax: int = 200):
     ok = True
     notes = []
     for m in (2, 3):
@@ -83,47 +104,38 @@ def check_faber(dmax: int = 200) -> CheckResult:
         if bad:
             ok = False
         notes.append(f"m={m}: {len(table)} traces, mismatches {bad[:4]}")
-    return CheckResult("faber", ident, ok, "; ".join(notes), time.time() - t0)
+    return ok, "; ".join(notes)
 
 
-def check_hurwitz(dmax: int = 10 ** 4) -> CheckResult:
-    ident = "per-discriminant weighted form counts agree with the batch class-number sweep; H(0) = -1/12"
-    t0 = time.time()
+@_check("hurwitz", "per-discriminant weighted form counts agree with the batch class-number sweep; H(0) = -1/12")
+def check_hurwitz(dmax: int = 10 ** 4):
     table = hurwitz_table(dmax)
     bad = [D for D in range(0, dmax + 1)
            if D % 4 in (0, 3) and hurwitz(D) != table[D]]
     ok = not bad and table[0] == hurwitz(0) and str(table[0]) == "-1/12"
-    return CheckResult("hurwitz", ident,
-                       ok, f"D <= {dmax}, mismatches {bad[:5]}", time.time() - t0)
+    return ok, f"D <= {dmax}, mismatches {bad[:5]}"
 
 
-def check_atkin() -> CheckResult:
-    ident = "regularized average over the modular curve: <J> = -24, <1> = 1"
-    t0 = time.time()
+@_check("atkin", "regularized average over the modular curve: <J> = -24, <1> = 1")
+def check_atkin():
     aJ = regularized_average("J")
     a1 = regularized_average("1")
     okJ = abs(float(aJ.value) + 24) < 1e-3
     ok1 = abs(float(a1.value) - 1) < 1e-6
-    return CheckResult("atkin", ident, okJ and ok1,
-                       f"<J> = {float(aJ.value):.6f}, <1> = {float(a1.value):.8f}",
-                       time.time() - t0)
+    return okJ and ok1, f"<J> = {float(aJ.value):.6f}, <1> = {float(a1.value):.8f}"
 
 
-def check_poincare(cmax: int = 10 ** 5) -> CheckResult:
-    ident = "weight-4 Poincare coefficients from the Kloosterman/Bessel expansion"
-    t0 = time.time()
+@_check("poincare", "weight-4 Poincare coefficients from the Kloosterman/Bessel expansion")
+def check_poincare(cmax: int = 10 ** 5):
     a1 = poincare_coeff(4, 1, 1, cmax)
     a2 = poincare_coeff(4, 1, 2, cmax)
     d1 = abs(float(a1.value) - 141444)
     d2 = abs(float(a2.value) - 68234240)
-    return CheckResult("poincare", ident, d1 < 0.5 and d2 < 5,
-                       f"a(1) off by {d1:.2e}, a(2) off by {d2:.2e}",
-                       time.time() - t0)
+    return d1 < 0.5 and d2 < 5, f"a(1) off by {d1:.2e}, a(2) off by {d2:.2e}"
 
 
-def check_exactformula(dmax: int = 200) -> CheckResult:
-    ident = "first term of the exponential-sum/sinh expansion dominates the trace"
-    t0 = time.time()
+@_check("exactformula", "first term of the exponential-sum/sinh expansion dominates the trace")
+def check_exactformula(dmax: int = 200):
     Ds = [D for D in _admissible(3, dmax) if is_fundamental(D)]
     table = {e.D: e for e in trace_table("J", Ds)}
     bad = []
@@ -132,14 +144,11 @@ def check_exactformula(dmax: int = 200) -> CheckResult:
         first = float(exact_formula_tJ(D, c_max=4).value)
         if abs(t - first) >= 10 * math.exp(0.6 * math.pi * math.sqrt(D)):
             bad.append(D)
-    return CheckResult("exactformula", ident, not bad,
-                       f"{len(Ds)} fundamental D <= {dmax}, violations {bad[:5]}",
-                       time.time() - t0)
+    return not bad, f"{len(Ds)} fundamental D <= {dmax}, violations {bad[:5]}"
 
 
-def check_asymptotic(dmax: int = 200) -> CheckResult:
-    ident = "trace growth (-1)^D e^{pi sqrt D} with exponentially smaller remainder"
-    t0 = time.time()
+@_check("asymptotic", "trace growth (-1)^D e^{pi sqrt D} with exponentially smaller remainder")
+def check_asymptotic(dmax: int = 200):
     Ds = _admissible(3, dmax)
     table = {e.D: e for e in trace_table("J", Ds)}
     bad = []
@@ -147,9 +156,7 @@ def check_asymptotic(dmax: int = 200) -> CheckResult:
         gap = abs(float(table[D].value_rounded) - (-1) ** D * math.exp(math.pi * math.sqrt(D)))
         if gap >= math.exp(0.8 * math.pi * math.sqrt(D)):
             bad.append(D)
-    return CheckResult("asymptotic", ident, not bad,
-                       f"{len(Ds)} D <= {dmax}, violations {bad[:5]}",
-                       time.time() - t0)
+    return not bad, f"{len(Ds)} D <= {dmax}, violations {bad[:5]}"
 
 
 DUKE_WIDENING_NOTE = (
@@ -163,10 +170,9 @@ DUKE_WIDENING_NOTE = (
 )
 
 
-def check_duke() -> CheckResult:
-    ident = ("normalized traces over fundamental discriminants equidistribute "
-             "toward -24; " + DUKE_WIDENING_NOTE)
-    t0 = time.time()
+@_check("duke", "normalized traces over fundamental discriminants equidistribute "
+        "toward -24; " + DUKE_WIDENING_NOTE)
+def check_duke():
     stats = []
     for lo, hi in ((500, 1000), (2000, 4000), (8000, 10000)):
         vals = [float(duke_statistic(D).value) for D in range(lo, hi + 1)
@@ -178,14 +184,11 @@ def check_duke() -> CheckResult:
     ok = (stats[0][1] > stats[1][1] > stats[2][1]
           and all(abs(m + 24) < 3 * se for m, _, se in stats)
           and -30 <= stats[2][0] <= -18)
-    detail = "; ".join(f"mean {m:.3f} (sd {sd:.1f}, se {se:.2f})"
-                       for m, sd, se in stats)
-    return CheckResult("duke", ident, ok, detail, time.time() - t0)
+    return ok, "; ".join(f"mean {m:.3f} (sd {sd:.1f}, se {se:.2f})" for m, sd, se in stats)
 
 
-def check_weil() -> CheckResult:
-    ident = "discriminant-form Weil matrices are unitary and satisfy (ST)^3 = S^2"
-    t0 = time.time()
+@_check("weil", "discriminant-form Weil matrices are unitary and satisfy (ST)^3 = S^2")
+def check_weil():
     worst = 0.0
     for spec in (LatticeSpec.level4(), LatticeSpec.level4p(2)):
         T, S, P = weil_rep(spec)
@@ -196,13 +199,11 @@ def check_weil() -> CheckResult:
                     float(np.abs(S @ S.conj().T - eye).max()),
                     float(np.abs(st @ st @ st - S @ S).max()),
                     float(np.abs(S @ S - np.exp(2j * np.pi / 4) * P).max()))
-    return CheckResult("weil", ident, worst < TOL40,
-                       f"levels 4 and 8, max defect {worst:.2e}", time.time() - t0)
+    return worst < TOL40, f"levels 4 and 8, max defect {worst:.2e}"
 
 
-def check_decay() -> CheckResult:
-    ident = "kernel components vanish to certified 2^-200 on the imaginary axis and decay super-exponentially off it"
-    t0 = time.time()
+@_check("decay", "kernel components vanish to certified 2^-200 on the imaginary axis and decay super-exponentially off it")
+def check_decay():
     ok = True
     worst = 0.0
     for h in (0, 1):
@@ -215,23 +216,18 @@ def check_decay() -> CheckResult:
             for y in (2.0, 3.0, 4.0)]
     d1, d2 = logs[1] - logs[0], logs[2] - logs[1]
     ok = ok and d1 < 0 and d2 < d1
-    return CheckResult("decay", ident, ok,
-                       f"axis bound {worst:.1e}; off-axis log-mag steps {d1:.1f}, {d2:.1f}",
-                       time.time() - t0)
+    return ok, f"axis bound {worst:.1e}; off-axis log-mag steps {d1:.1f}, {d2:.1f}"
 
 
-def check_plusspace(trunc: int = 200) -> CheckResult:
-    ident = "weight-3/2 series are supported on exponents 0,3 mod 4"
-    t0 = time.time()
+@_check("plusspace", "weight-3/2 series are supported on exponents 0,3 mod 4")
+def check_plusspace(trunc: int = 200):
     series = [g_series(trunc + 1), plus_form({-1: -1}, trunc + 1), plus_form({-4: 1}, trunc + 1)]
     pred = predicted_series({-2: 1})
     series.append(plus_form({n: c for n, c in pred.items() if n < 0}, trunc + 1))
     bad = []
     for s in series:
         bad += [n for n, c in s.items() if n % 4 in (1, 2) and c != 0]
-    return CheckResult("plusspace", ident, not bad,
-                       f"{len(series)} series through q^{trunc}, violations {bad[:5]}",
-                       time.time() - t0)
+    return not bad, f"{len(series)} series through q^{trunc}, violations {bad[:5]}"
 
 
 def _determinism_rows():
@@ -241,10 +237,9 @@ def _determinism_rows():
     return [trace_row(e) for f, Ds in tables for e in trace_table(f, Ds)]
 
 
-def check_determinism() -> CheckResult:
-    ident = ("trace tables are byte-identical whatever the global mpmath "
-             "precision, and after a round trip through the result cache")
-    t0 = time.time()
+@_check("determinism", "trace tables are byte-identical whatever the global mpmath "
+        "precision, and after a round trip through the result cache")
+def check_determinism():
     rows = _determinism_rows()
     want = render_table(rows, TRACE_FIELDS, "json")
     bad = []
@@ -265,15 +260,13 @@ def check_determinism() -> CheckResult:
         cache.put(key, rows)  # a cold run stores its rows, a warm one reads them
         if render_table(cache.get(key), TRACE_FIELDS, "json") != want:
             bad.append("cache")
-    return CheckResult("determinism", ident, not bad,
-                       f"{len(rows)} rows of J, J2 and 1 at mp.prec 20 and 2000 and "
-                       f"from a warm cache, mismatches {bad}",
-                       time.time() - t0)
+    return not bad, (f"{len(rows)} rows of J, J2 and 1 at mp.prec 20 and 2000 and "
+                     f"from a warm cache, mismatches {bad}")
 
 
-def check_eisenstein(tol: float = 1e-3) -> CheckResult:
-    ident = "lift of the constant matches the weight-3/2 Eisenstein expansion (class numbers + beta terms)"
-    t0 = time.time()
+@_check("eisenstein", "lift of the constant matches the weight-3/2 Eisenstein expansion (class numbers + beta terms)",
+        full_only=True)
+def check_eisenstein(tol: float = 1e-3):
     notes = []
     ok = True
     for tau in (1j, 2j):
@@ -283,36 +276,15 @@ def check_eisenstein(tol: float = 1e-3) -> CheckResult:
         rel = abs(avg - P) / abs(P)
         ok = ok and rel < 0.01
         notes.append(f"tau={tau}: rel {rel:.2e}")
-    return CheckResult("eisenstein", ident, ok, "; ".join(notes), time.time() - t0)
+    return ok, "; ".join(notes)
 
 
-def check_theta_traces(tol: float = 1e-3) -> CheckResult:
-    ident = "Fourier coefficients of the lift of J recover the first CM traces"
-    t0 = time.time()
+@_check("theta", "Fourier coefficients of the lift of J recover the first CM traces", full_only=True)
+def check_theta_traces(tol: float = 1e-3):
     c3 = float(fourier_extract(1, 0.75, 1.0, "J", tol=tol).value)
     c4 = float(fourier_extract(0, 1, 1.0, "J", tol=tol).value)
     ok = abs(c3 + 248) < 0.02 * 248 and abs(c4 - 492) < 0.02 * 492
-    return CheckResult("theta", ident, ok,
-                       f"extracted {c3:.2f} (want -248), {c4:.2f} (want 492)",
-                       time.time() - t0)
-
-
-FAST_CHECKS = {
-    "zagier": check_zagier,
-    "faber": check_faber,
-    "hurwitz": check_hurwitz,
-    "atkin": check_atkin,
-    "poincare": check_poincare,
-    "exactformula": check_exactformula,
-    "asymptotic": check_asymptotic,
-    "duke": check_duke,
-    "weil": check_weil,
-    "decay": check_decay,
-    "plusspace": check_plusspace,
-    "determinism": check_determinism,
-}
-
-FULL_CHECKS = dict(FAST_CHECKS, eisenstein=check_eisenstein, theta=check_theta_traces)
+    return ok, f"extracted {c3:.2f} (want -248), {c4:.2f} (want 492)"
 
 
 def run_suite(level: str = "fast", only: str = None, **kw):

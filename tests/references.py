@@ -1,14 +1,15 @@
 """Reference code that only the tests call: explicit SL2(Z) transporters
-between forms, against which qform.gamma0_class is checked, and the
-scalar Kudla-Millson term of one lattice vector, against which
-thetalift's vectorized kernel sums are checked."""
+between forms, against which qform.gamma0_class is checked, membership
+and the Gram determinant of a coordinate lattice, against which its
+coset list is checked, and the scalar Kudla-Millson term of one lattice
+vector, against which thetalift's vectorized kernel sums are checked."""
 
 from fractions import Fraction
 
 import mpmath as mp
 
 from cmtrace.hp import HP, _ulp
-from cmtrace.lattice import LatticeVector
+from cmtrace.lattice import LatticeSpec, LatticeVector
 from cmtrace.qform import (
     _ID,
     QuadForm,
@@ -86,6 +87,23 @@ def transporter(Q1: QuadForm, Q2: QuadForm):
 def is_gamma0_equivalent(Q1: QuadForm, Q2: QuadForm, p: int) -> bool:
     """Exact Gamma_0(p)-equivalence: equal class keys."""
     return gamma0_class(Q1, p) == gamma0_class(Q2, p)
+
+
+# ---------------------------------------------------------------------------
+# coordinate lattices
+
+def lattice_member(spec: LatticeSpec, X: LatticeVector) -> bool:
+    for x, s in zip((X.x1, X.x2, X.x3), spec.steps):
+        f = Fraction(x)
+        if f.denominator != 1 or f.numerator % s:
+            return False
+    return True
+
+
+def gram_det(spec: LatticeSpec) -> int:
+    s1, s2, s3 = spec.steps
+    # Gram of (s1 e1, s2 e2, s3 e3): det = 2 (s2 s3)^2 ... sign dropped
+    return 2 * (s2 * s3) ** 2 * s1 * s1
 
 
 # ---------------------------------------------------------------------------

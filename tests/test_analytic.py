@@ -27,7 +27,6 @@ from cmtrace.analytic import (
     beta_integral,
     duke_statistic,
     eval_modular,
-    eval_qexpansion,
     exact_formula_tJ,
     precision_for,
     regularized_average,
@@ -183,7 +182,7 @@ class TestEvalQexpansion:
     def test_eta_quotient_oracle(self):
         # t = eta(tau)^8/eta(4tau)^8 = q^{-1} (qp(q)/qp(q^4))^8
         tau = mp.mpc(0.3, 0.9)
-        v = eval_qexpansion(t_series(80), tau, 70)
+        v = eval_modular(t_series(80), tau, 70)
         with mp.workprec(140):
             q = mp.e ** (2j * mp.pi * tau)
             ref = (mp.qp(q) / mp.qp(q**4)) ** 8 / q
@@ -195,7 +194,7 @@ class TestEvalQexpansion:
         # stepped Horner sum differs from it by rounding only
         T2 = _fricke_hauptmodul(60)
         for tau in (mp.mpc(0.3, 0.9), mp.mpc(-0.45, 0.12), mp.mpc(7.25, 2.5)):
-            v = eval_qexpansion(T2, tau, prec)
+            v = eval_modular(T2, tau, prec)
             with mp.workprec(prec + 200):
                 w = mp.exp(2j * mp.pi * tau / T2.denom)
                 ref = mp.fsum(mp.mpf(c.numerator) / c.denominator * w**n for n, c in T2.terms.items())
@@ -204,7 +203,7 @@ class TestEvalQexpansion:
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
-            eval_qexpansion(t_series(10), mp.mpc(1, -2), 53)
+            eval_modular(t_series(10), mp.mpc(1, -2), 53)
 
 
 class TestTrace:

@@ -204,6 +204,13 @@ class TestExitCodes:
         ("classnum", "--D", "-1"),
         ("trace", "--f", "J", "--D", "-7"),
         ("theta", "--tau", "1j", "--h", "9"),
+        # arguments outside the computation's domain
+        ("exactformula", "--D", "3", "--cmax", "5"),
+        ("exactformula", "--D", "5", "--cmax", "8"),
+        ("poincare", "--k", "5"),
+        ("poincare", "--k", "4", "--m", "0"),
+        ("series", "--name", "foo"),
+        ("series", "--name", "J0"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2
@@ -232,11 +239,32 @@ class TestExitCodes:
         assert run(["poincare", "--k", "4", "--m", "1", "--n", n, "--cmax", cmax]) == 3
         assert f"{what} is past the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # these printed error_bound 7.3e10 and -1.06e88 +- 1.04e88 with exit 0
+        ("theta", "--tau", "1j", "--f", "J2", "--tol", "1e-3"),
+        ("theta", "--tau", "2j", "--f", "J3", "--tol", "1e-3"),
+    ])
+    def test_theta_bound_past_tol_exits_3(self, capsys, argv):
+        assert run(list(argv) + ["--no-cache"]) == 3
+        assert "exceeds tol 0.001" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
 
 
 class TestVerifyCommand:
+    def test_check_lists_pinned(self):
+        from cmtrace.verify import FAST_CHECKS, FULL_CHECKS, run_suite
+
+        fast = ["zagier", "faber", "hurwitz", "atkin", "poincare", "exactformula",
+                "asymptotic", "duke", "weil", "decay", "plusspace", "determinism"]
+        assert list(FAST_CHECKS) == fast
+        assert list(FULL_CHECKS) == fast + ["eisenstein", "theta"]
+        # each check reports under its own key (sizes kept small: passing is
+        # not the point here)
+        results, _ = run_suite("full", dmax=3, cmax=4, tol=0.5)
+        assert [r.name for r in results] == list(FULL_CHECKS)
+
     def test_single_check_report(self, capsys):
         code, out = invoke(capsys, "verify", "hurwitz", "--dmax", "500")
         assert code == 0

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from cmtrace import thetalift
-from cmtrace.analytic import beta_integral, eval_modular, eval_qexpansion
+from cmtrace.analytic import beta_integral, eval_modular
 from cmtrace.hp import HP, _ulp
 from cmtrace.series import g_series
 
@@ -87,7 +87,7 @@ _I = HP(mp.mpc(0, 1), 1e-3, 64)  # an uncertain point: its radius would be dropp
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: eval_modular("J", _I), id="eval_modular"),
-    pytest.param(lambda: eval_qexpansion(g_series(5), _I), id="eval_qexpansion"),
+    pytest.param(lambda: eval_modular(g_series(5), _I), id="eval_qexpansion"),
     pytest.param(lambda: thetalift.theta_kernel(0, _I, 1j), id="theta_kernel-tau"),
     pytest.param(lambda: thetalift.theta_kernel(0, 1j, _I), id="theta_kernel-z"),
     pytest.param(lambda: thetalift.theta_integral(0, _I, "J"), id="theta_integral"),

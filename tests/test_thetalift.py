@@ -40,7 +40,7 @@ def _brute_force(spec, h, x, y, T):
     def M(x1, x2, x3):
         X = LatticeVector(x1, x2, x3)
         s = pair(X, x_of_z(complex(x, y)))
-        return s * s - X.norm()
+        return s * s - 2 * X.q()
 
     # M(X) >= lam |k + off|^2, lam the least eigenvalue of M's Gram in k
     e = np.eye(3) * steps
@@ -325,6 +325,15 @@ class TestIntegral:
         with pytest.raises(ValueError, match="tol >= 1e-12"):
             fourier_extract(0, 1, 1.0, "J", tol=tol)
 
+    @pytest.mark.parametrize("tau, f, tol", [
+        (1j, "J2", 1e-3),  # returned an error_bound of 7.3e10
+        (2j, "J3", 1e-3),  # returned -1.06e88 +- 1.04e88
+        (0.3 + 1.5j, "J", 1e-8),  # returned an error_bound of 4.9e-8
+    ])
+    def test_bound_past_tol_rejected(self, tau, f, tol):
+        with pytest.raises(ValueError, match="exceeds tol"):
+            theta_integral(0, tau, f, tol=tol)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             theta_integral(0, 0.2j, "J")
@@ -354,6 +363,11 @@ class TestFourierExtract:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2 ** 20
+
+    def test_profile_bound_past_tol_rejected(self):
+        # returned 2.9e5 +- 2.0e13
+        with pytest.raises(ValueError, match="exceeds tol"):
+            fourier_extract(0, 1, 1.0, "J2", tol=1e-3)
 
     def test_coset_congruence_enforced(self):
         with pytest.raises(ValueError):
