@@ -363,7 +363,7 @@ def trace_table(f_spec, Ds, p: int = 1):
 
 def _require_disc(D: int):
     if D <= 0 or D % 4 in (1, 2):
-        raise DomainError("D must be 0 or 3 mod 4")
+        raise DomainError(f"D must be positive and 0 or 3 mod 4, got {D}")
 
 
 def exact_formula_tJ(D: int, c_max: int = 10000) -> HP:

@@ -89,9 +89,12 @@ def _fspec_arg(text: str):
 
 def _tau_arg(text: str):
     try:
-        return complex(text)
+        tau = complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a complex like 0.5+2j, got {text!r}")
+    if not tau.imag > 0:
+        raise argparse.ArgumentTypeError(f"Im tau must be positive, got {text!r}")
+    return tau
 
 
 def _resolve_Ds(args):

@@ -76,26 +76,17 @@ def _solve_exact(rows, rhs, n_unknowns):
 
 
 def _seed_family(pole_order: int, depth: int, T: int):
-    """theta^3 * {t^a, t^-j, (t+16)^-m} as q-series through exponent T."""
+    """theta^3 * {t^a, t^-j, (t+16)^-m} as q-series through exponent T,
+    a = 0..pole_order and j, m = 1..depth."""
     margin = T + pole_order + 2
     th3 = theta_series(margin) ** 3
     t = t_series(margin)
-    seeds = []
-    power = QSeries.one().with_trunc(margin)
-    for a in range(0, pole_order + 1):
-        seeds.append((th3 * power).with_trunc(T))
-        if a < pole_order:
-            power = power * t
-    tinv = t.reciprocal()
-    power = QSeries.one().with_trunc(margin)
-    for _ in range(depth):
-        power = power * tinv
-        seeds.append((th3 * power).with_trunc(T))
-    sinv = (t + 16).reciprocal()
-    power = QSeries.one().with_trunc(margin)
-    for _ in range(depth):
-        power = power * sinv
-        seeds.append((th3 * power).with_trunc(T))
+    seeds = [th3.with_trunc(T)]
+    for base, count in ((t, pole_order), (t.reciprocal(), depth), ((t + 16).reciprocal(), depth)):
+        power = th3
+        for _ in range(count):
+            power = power * base
+            seeds.append(power.with_trunc(T))
     return seeds
 
 
@@ -103,9 +94,13 @@ def plus_form(principal_part: dict, trunc: int) -> QSeries:
     """The unique plus-space form q-expansion with the given principal part
     {-m: a(-m), ...} at infinity, known through exponent `trunc`.
 
-    Raises PlusSpaceRankError when no such form exists (e.g. a prescribed
-    pole at an exponent outside the support condition) or when the solver
-    cannot certify uniqueness.
+    One exact system is built and solved: the pole rows and the support
+    rows n = 1, 2 (mod 4) through t_solve.  The solution's support is then
+    checked through T, past the rows imposed, and its principal part
+    asserted.  Raises PlusSpaceRankError when no such form exists (e.g. a
+    prescribed pole at an exponent outside the support condition), and
+    when the system is rank-deficient or its solution breaks the support
+    check; no known input reaches those two.
     """
     pp = {}
     for e, c in principal_part.items():
@@ -120,52 +115,32 @@ def plus_form(principal_part: dict, trunc: int) -> QSeries:
     P = -min(pp)
 
     depth = P + 4
+    n_unknowns = (P + 1) + 2 * depth
     # About t_solve / 2 support rows (n = 1, 2 mod 4).  Sized to the unknowns
-    # less the allowed pole exponents (e = 0, 3 mod 4), the first system is
-    # not rank-deficient by size, and the rows at the forbidden exponents
-    # are spare, so an unattainable principal part comes out inconsistent.
+    # less the allowed pole exponents (e = 0, 3 mod 4), the system is not
+    # rank-deficient by size, and the rows at the forbidden exponents are
+    # spare, so an unattainable principal part comes out inconsistent.
     allowed = sum(1 for e in range(-P, 0) if e % 4 in (0, 3))
-    t_solve = max(40, 2 * ((P + 1) + 2 * depth - allowed))
-    last_reason = ""
-    for _ in range(5):
-        n_unknowns = (P + 1) + 2 * depth
-        # seeds run past t_solve + 4, so the check reads two support rows not imposed
-        T = max(trunc, t_solve + 4) + 1
-        seeds = _seed_family(P, depth, T)
-        assert len(seeds) == n_unknowns
-        rows, rhs = [], []
-        for e in range(-P, 0):
-            rows.append([s.coeff(e) for s in seeds])
-            rhs.append(pp.get(e, Fraction(0)))
-        for n in range(1, t_solve + 1):
-            if n % 4 in (1, 2):
-                rows.append([s.coeff(n) for s in seeds])
-                rhs.append(Fraction(0))
-        x, reason = _solve_exact(rows, rhs, n_unknowns)
-        if x is None:
-            if reason == "inconsistent":
-                raise PlusSpaceRankError(
-                    f"principal part {principal_part} is not attainable in the plus space"
-                )
-            last_reason = reason
-            t_solve *= 2
-            continue
-        out = QSeries.zero(T)
-        for coef, s in zip(x, seeds):
-            if coef:
-                out = out + coef * s
-        bad = [
-            n
-            for n in range(1, T)
-            if n % 4 in (1, 2) and out.coeff(n)
-        ]
-        if bad:
-            # truncated system admitted a spurious solution; enlarge it
-            last_reason = f"support violated at q^{bad[0]}"
-            depth += 2
-            t_solve = max(2 * t_solve, bad[0] + 8)
-            continue
-        for e in range(-P, 0):
-            assert out.coeff(e) == pp.get(e, Fraction(0))
-        return out.with_trunc(trunc)
-    raise PlusSpaceRankError(f"solver did not stabilize: {last_reason}")
+    t_solve = max(40, 2 * (n_unknowns - allowed))
+    # seeds run past t_solve + 4, so the check reads two support rows not imposed
+    T = max(trunc, t_solve + 4) + 1
+    seeds = _seed_family(P, depth, T)
+    assert len(seeds) == n_unknowns
+    exps = list(range(-P, 0)) + [n for n in range(1, t_solve + 1) if n % 4 in (1, 2)]
+    rows = [[s.coeff(n) for s in seeds] for n in exps]
+    rhs = [pp.get(n, Fraction(0)) for n in exps]
+    x, reason = _solve_exact(rows, rhs, n_unknowns)
+    if reason == "inconsistent":
+        raise PlusSpaceRankError(f"principal part {principal_part} is not attainable in the plus space")
+    if x is None:
+        raise PlusSpaceRankError(f"principal part {principal_part}: {reason}")
+    out = QSeries.zero(T)
+    for coef, s in zip(x, seeds):
+        if coef:
+            out = out + coef * s
+    bad = next((n for n in range(1, T) if n % 4 in (1, 2) and out.coeff(n)), None)
+    if bad is not None:
+        raise PlusSpaceRankError(f"principal part {principal_part}: support violated at q^{bad}")
+    for e in range(-P, 0):
+        assert out.coeff(e) == pp.get(e, Fraction(0))
+    return out.with_trunc(trunc)

@@ -7,11 +7,11 @@ kernel with a weakly holomorphic input over the modular curve;
 fourier_extract reads trace coefficients off the lift; eisen_prediction
 gives the closed-form target for the lift of the constant function.
 
-All bulk numerics are float64/numpy in a fixed summation order (single
-threaded, deterministic); the high-precision path (small tolerances, e.g.
-vanishing certificates) runs the same enumeration under mpmath.
-theta_integral and fourier_extract sum the kernel in float64 only, so
-they refuse tol below 1e-12.
+theta_kernel sums one node under mpmath, at a precision set by its tol;
+the quadrature sums the same enumeration in float64/numpy.  Both run in a
+fixed summation order (single threaded, deterministic).  theta_integral
+and fourier_extract sum the kernel in float64 only, so they refuse tol
+below 1e-12.
 
 Each node's threshold T is solved directly, for all nodes at once, from a
 tail bound that splits the Gaussian at a fixed theta = 1/8 (_tail_bound
@@ -21,9 +21,9 @@ The enumerator works on many quadrature nodes at once: the quadrature lays
 a panel's columns end to end and hands it blocks of up to 64 nodes, each
 with its own tolerance, and every point carries its node's index through
 the row expansion into one node x q table of sums.  Each node's row
-equals, bit for bit, the sums of the node enumerated alone; theta_kernel
-and the mpmath sum pass a single node.  The quadrature weights the rows
-after binning and applies the phases e(q u) once per block.
+equals, bit for bit, the sums of the node enumerated alone.  The
+quadrature weights the rows after binning and applies the phases e(q u)
+once per block.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .qform import hurwitz
 _C = 1.0 / (2.0 * math.pi)
 _THETA = 0.125  # the Gaussian's share that _tail_bound spends summing over the coset
 _BLOCK = 64  # quadrature nodes enumerated in one pass
-_FLOAT_TOL = 1e-12  # the least tol the float64 kernel sums serve
-_LEVEL4 = LatticeSpec.level4()  # the default lattice, and the only one the integration supports
+_FLOAT_TOL = 1e-12  # the least tol the quadrature's float64 kernel sums serve
+_LEVEL4 = LatticeSpec.level4()  # the only lattice the kernel and the integration use
 
 
 # ---------------------------------------------------------------------------
@@ -216,54 +216,18 @@ def _enumerate_qsums(spec: LatticeSpec, h: LatticeVector, v: float, x, y, tol):
     return (lo + np.arange(w)) / 4.0, sums.reshape(x.size, w), tails
 
 
-def _enumerate_sum_mp(spec: LatticeSpec, h: LatticeVector, tau, z, tol: float,
-                      precision: int):
-    """High-precision coset sum of km at tau, z (mp path).  Fixed order,
-    returns (value mpc, certified error bound float)."""
-    with mp.workprec(precision + 16):
-        u, v = mp.mpf(tau.real), mp.mpf(tau.imag)
-        x, y = mp.mpf(z.real), mp.mpf(z.imag)
-        chol = _local_cholesky(np.array([float(x)]), np.array([float(y)]), spec.steps)
-        # threshold and tail from the float bound, with slack for the float Gram
-        vs = float(v) * 0.99
-        pref = _tail_factor(vs, [q * 0.98 for q in chol[:3]])
-        T, tail = _solve_threshold(vs, pref, np.array([tol]))
-
-        # coordinates from the integer indices, at the working precision
-        steps = [mp.mpf(float(s)) for s in spec.steps]
-        off = [mp.mpf(float(hx)) / s for hx, s in zip((h.x1, h.x2, h.x3), steps)]
-        two_pi_i = 2j * mp.pi
-        c_ = 1 / (2 * mp.pi)
-
-        total = mp.mpc(0)
-        abssum = mp.mpf(0)
-        _, k, _ = _coset_points(spec, h, T, chol)
-        for kk in zip(*(a.tolist() for a in k)):
-            X = [(n + o) * s for n, o, s in zip(kk, off, steps)]
-            s_, qx, M = _s_q_majorant(x, y, *X)
-            term = (v * s_ * s_ - c_) * mp.e ** (-mp.pi * v * M)
-            if u:
-                term = term * mp.e ** (two_pi_i * qx * u)
-            total += term
-            abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
-        rnd = float(abssum) * (k[0].size + 8) * 2.0 ** (-(precision + 16) + 4)
-    return total, float(tail[0]) + rnd
-
-
-def _resolve_h(h):
-    if isinstance(h, LatticeVector):
-        return h
+def _resolve_h(h) -> LatticeVector:
     cs = _LEVEL4.cosets()
     if not isinstance(h, int) or not 0 <= h < len(cs):
-        raise ValueError(f"h must be a coset index in 0..{len(cs) - 1} or a LatticeVector")
+        raise ValueError(f"h must be a level-4 coset index in 0..{len(cs) - 1}")
     return cs[h]
 
 
 def theta_kernel(h, tau, z, tol: float = 1e-10) -> HP:
     """Sum of the Kudla-Millson terms (v s^2 - 1/(2 pi)) e^{-pi v M} e(q(X) u)
-    over the dual coset h + L of the level-4 lattice, with certified
-    truncation error <= tol.  Float64 path for tol >= 1e-12, otherwise
-    mpmath at max(64, -log2(tol) + 48) bits."""
+    over the dual coset h + L of the level-4 lattice, under mpmath at
+    max(64, -log2(tol) + 48) bits in a fixed order.  The error bound is the
+    certified tail (<= tol) plus the rounding charged on the sum of |term|."""
     hv = _resolve_h(h)
     tt = complex(tau)
     zz = complex(z)
@@ -272,16 +236,35 @@ def theta_kernel(h, tau, z, tol: float = 1e-10) -> HP:
     if tol <= 0:
         raise ValueError("tol > 0 required")
 
-    if tol >= _FLOAT_TOL:
-        qq, sums, tails = _enumerate_qsums(_LEVEL4, hv, tt.imag, np.array([zz.real]),
-                                           np.array([zz.imag]), np.array([tol]))
-        val = complex(np.sum(sums[0] * np.exp(2j * math.pi * qq * tt.real)))
-        err = float(tails[0]) + 1e-14 * (float(np.abs(sums[0]).sum()) + 1.0)
-        return HP(mp.mpc(val), err, 53)
-
     prec = max(64, int(-math.log2(tol)) + 48)
-    val, err = _enumerate_sum_mp(_LEVEL4, hv, tt, zz, tol, prec)
-    return HP(val, err, prec)
+    with mp.workprec(prec + 16):
+        u, v = mp.mpf(tt.real), mp.mpf(tt.imag)
+        x, y = mp.mpf(zz.real), mp.mpf(zz.imag)
+        chol = _local_cholesky(np.array([zz.real]), np.array([zz.imag]), _LEVEL4.steps)
+        # threshold and tail from the float bound, with slack for the float Gram
+        vs = tt.imag * 0.99
+        pref = _tail_factor(vs, [q * 0.98 for q in chol[:3]])
+        T, tail = _solve_threshold(vs, pref, np.array([tol]))
+
+        # coordinates from the integer indices, at the working precision
+        steps = [mp.mpf(float(s)) for s in _LEVEL4.steps]
+        off = [mp.mpf(float(hx)) / s for hx, s in zip((hv.x1, hv.x2, hv.x3), steps)]
+        two_pi_i = 2j * mp.pi
+        c_ = 1 / (2 * mp.pi)
+
+        total = mp.mpc(0)
+        abssum = mp.mpf(0)
+        _, k, _ = _coset_points(_LEVEL4, hv, T, chol)
+        for kk in zip(*(a.tolist() for a in k)):
+            X = [(n + o) * s for n, o, s in zip(kk, off, steps)]
+            s_, qx, M = _s_q_majorant(x, y, *X)
+            term = (v * s_ * s_ - c_) * mp.e ** (-mp.pi * v * M)
+            if u:
+                term = term * mp.e ** (two_pi_i * qx * u)
+            total += term
+            abssum += abs(mp.mpf(term.real)) + abs(mp.mpf(term.imag))
+        rnd = float(abssum) * (k[0].size + 8) * 2.0 ** (-(prec + 16) + 4)
+    return HP(total, float(tail[0]) + rnd, prec)
 
 
 # ---------------------------------------------------------------------------

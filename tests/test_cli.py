@@ -211,6 +211,14 @@ class TestExitCodes:
         ("poincare", "--k", "4", "--m", "0"),
         ("series", "--name", "foo"),
         ("series", "--name", "J0"),
+        # Im tau <= 0 is a usage error, not a truncation failure
+        ("theta", "--tau", "0.3-1j"),
+        ("theta", "--tau", "0.3+0j"),
+        # converter branches
+        ("trace", "--D", "x"),
+        ("trace", "--range", "3-5"),
+        ("theta", "--tau", "foo"),
+        ("trace", "--f", "J0", "--D", "3"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2

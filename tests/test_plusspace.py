@@ -1,5 +1,6 @@
 """Plus-space solver: reproduces the trace generating series exactly."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -36,8 +37,8 @@ def test_pole_nine_lift():
 
 
 def test_first_system_is_solved(monkeypatch):
-    # pole order 9 has 36 unknowns; the first system has more rows than
-    # that and is solved, so no seed family or solve is thrown away
+    # pole order 9 has 36 unknowns; the one system built has more rows
+    # than that and is solved once
     import cmtrace.plusspace as ps
 
     calls = []
@@ -78,6 +79,48 @@ def test_support_check_reads_unimposed_rows(monkeypatch):
     support = [n for n in range(1, 1000) if n % 4 in (1, 2)]
     last_imposed = support[seen["support_rows"] - 1]
     assert max(n for n in seen["scanned"] if n > 0 and n % 4 in (1, 2)) > last_imposed
+
+
+def _sampled_parts():
+    """A fixed sample of principal parts with pole order <= 12 and their
+    truncations: each is drawn on the exponents = 0, 3 (mod 4), and every
+    second one also gets a pole at an exponent = 1, 2 (mod 4)."""
+    rng = random.Random(23)
+    allowed = [e for e in range(-12, 0) if e % 4 in (0, 3)]
+    forbidden = [e for e in range(-12, 0) if e % 4 in (1, 2)]
+    parts = []
+    for i in range(20):
+        pp = {e: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+              for e in rng.sample(allowed, rng.randint(1, 3))}
+        if i % 2:
+            pp[rng.choice(forbidden)] = F(rng.choice([-2, -1, 1, 2]))
+        parts.append((pp, rng.randint(5, 40)))
+    return parts
+
+
+def test_one_solve_over_sampled_parts(monkeypatch):
+    # every input is solved, or refused as not attainable, by its first
+    # system
+    import cmtrace.plusspace as ps
+
+    calls = []
+
+    def counted(rows, rhs, n):
+        calls.append(n)
+        return _solve_exact(rows, rhs, n)
+
+    monkeypatch.setattr(ps, "_solve_exact", counted)
+    for pp, trunc in _sampled_parts():
+        calls.clear()
+        if all(e % 4 in (0, 3) for e in pp):
+            f = plus_form(pp, trunc)
+            assert f.truncation_order == trunc
+            assert all(f.coeff(e) == pp.get(e, 0) for e in range(min(pp), 0))
+            assert all(f.coeff(n) == 0 for n in range(1, trunc) if n % 4 in (1, 2))
+        else:
+            with pytest.raises(PlusSpaceRankError, match="not attainable"):
+                plus_form(pp, trunc)
+        assert len(calls) == 1
 
 
 def test_support_condition_through_200():

@@ -211,12 +211,17 @@ class TestTailBound:
 class TestKernel:
     @pytest.mark.parametrize("h", [0, 1])
     def test_float_and_mp_paths_agree(self, h):
+        # the quadrature's float64 enumerator at one node, phased by e(q u),
+        # against the mpmath kernel
+        hv = LEVEL4.cosets()[h]
         for tau, z in [(0.3 + 1.0j, 0.1 + 1.1j), (1j, 0.25 + 0.93j),
                        (0.7 + 2.0j, -0.4 + 1.7j)]:
-            a = theta_kernel(h, tau, z, tol=1e-10)
+            qq, sums, tails = _enumerate_qsums(LEVEL4, hv, tau.imag, np.array([z.real]),
+                                               np.array([z.imag]), np.array([1e-10]))
+            a = complex(np.sum(sums[0] * np.exp(2j * math.pi * qq * tau.real)))
             b = theta_kernel(h, tau, z, tol=1e-16)
-            assert abs(complex(a.value) - complex(b.value)) < 1e-10
-            assert a.error_bound < 1e-9 and b.error_bound < 1e-15
+            assert abs(a - complex(b.value)) < 1e-10
+            assert tails[0] <= 1e-10 and b.error_bound < 1e-15
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_modular_invariance_in_z(self, h):
@@ -253,6 +258,8 @@ class TestKernel:
     def test_validation(self):
         with pytest.raises(ValueError):
             theta_kernel(2, 1j, 1j)
+        with pytest.raises(ValueError):  # a coset index, not a vector
+            theta_kernel(LEVEL4.cosets()[1], 1j, 1j)
         with pytest.raises(ValueError):
             theta_kernel(0, 1j, 1j, tol=-1.0)
         with pytest.raises(ValueError):
