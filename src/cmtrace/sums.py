@@ -1,7 +1,8 @@
-"""Kloosterman sums (numpy passes over blocks of moduli), quadratic
-exponential sums, Bessel I (mpmath's 0F1 with a one-rounding bound, as beta
-in `analytic`), and the Rademacher-type coefficient formula for weight-k
-Poincare series."""
+"""Kloosterman sums (numpy passes over blocks of moduli, over half the
+residues of each), quadratic exponential sums (square roots of -D mod each
+prime power, by Tonelli-Shanks and Hensel lifting, joined by CRT), Bessel I
+(mpmath's 0F1 with a one-rounding bound, as beta in `analytic`), and the
+Rademacher-type coefficient formula for weight-k Poincare series."""
 
 from __future__ import annotations
 
@@ -25,39 +26,56 @@ _BLOCK_RESIDUES = 4096
 
 def _kloosterman_block(m: int, n: int, lo: int, hi: int) -> list[tuple[float, float]]:
     """(value, error bound) of K(m, n, c) for c = lo, ..., hi - 1 in one
-    numpy pass over the residues d of every modulus; every c^2 < 2^63.
+    numpy pass over the residues d <= (c - 1)/2 of every modulus; every
+    c^2 < 2^63.
 
-    Each term is math.cos(2.0 * pi * r / c) of the exact phase
-    r = (m dbar + n d) mod c, the same float a loop over d computes, and
-    fsum is correctly rounded in any order; so each value is the loop's.
+    For c >= 3, d -> c - d pairs the units and sends dbar to c - dbar, so
+    the phase r = (m dbar + n d) mod c of c - d is (c - r) mod c: the lower
+    half's units, inverses and phases give the upper half's.  Each term is
+    still math.cos(2.0 * pi * r / c) of its own exact phase, the same float
+    a loop over d computes, and fsum is correctly rounded in any order; so
+    each value is the loop's.
     """
+    out = []
+    if lo == 1:
+        out.append((1.0, 0.0))  # K(m, n, 1) = 1 exactly
+        lo = 2
+    if lo == 2 < hi:
+        # the one unit d = 1 = dbar of c = 2 has no partner
+        val = cos(2.0 * pi * ((m + n) % 2) / 2)
+        out.append((val, _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)))
+        lo = 3
+    if lo >= hi:
+        return out
     cs = np.arange(lo, hi, dtype=np.int64)
-    starts = np.cumsum(cs) - cs
-    c = np.repeat(cs, cs)
-    d = np.arange(c.size) - np.repeat(starts, cs)  # 0 <= d < c
+    half = (cs - 1) // 2
+    starts = np.cumsum(half) - half
+    c = np.repeat(cs, half)
+    d = np.arange(c.size) - np.repeat(starts, half) + 1  # 1 <= d <= (c - 1)/2
     unit = np.gcd(d, c) == 1
     c, d = c[unit], d[unit]
-    phi = np.bincount(c - lo, minlength=cs.size)
+    units = np.bincount(c - lo, minlength=cs.size)  # phi(c)/2 per modulus
     # dbar = d^(phi(c) - 1) mod c, square-and-multiply with a per-residue
     # exponent; every product is below c^2 < 2^63
-    e = np.repeat(phi - 1, phi)
+    e = np.repeat(2 * units - 1, units)
     dbar, base = np.ones_like(d), d
     while e.any():
         dbar = np.where(e & 1, dbar * base % c, dbar)
         base = base * base % c
         e >>= 1
     # m and n reduced in Python, so any int index fits int64
-    mc = np.repeat([m % k for k in range(lo, hi)], phi)
-    nc = np.repeat([n % k for k in range(lo, hi)], phi)
+    mc = np.repeat([m % k for k in range(lo, hi)], units)
+    nc = np.repeat([n % k for k in range(lo, hi)], units)
     r = (mc * dbar % c + nc * d % c) % c
-    terms = list(map(cos, (2.0 * pi * r / c).tolist()))
-    out = []
+    # the phases of d and c - d side by side, so each modulus's terms are
+    # one slice
+    r = np.stack([r, (c - r) % c], axis=1).ravel()
+    terms = list(map(cos, (2.0 * pi * r / np.repeat(c, 2)).tolist()))
     a = 0
-    for k, count in zip(range(lo, hi), phi.tolist()):
+    for count in (2 * units).tolist():
         val = fsum(terms[a:a + count])
         a += count
-        # K(m, n, 1) = 1 exactly
-        out.append((val, 0.0 if k == 1 else count * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)))
+        out.append((val, count * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)))
     return out
 
 
@@ -78,7 +96,7 @@ def _kloosterman_run(m: int, n: int, C: int):
 def kloosterman(m: int, n: int, c: int) -> HP:
     """K(m,n,c) = sum over primitive residues d (mod c) of
     e((m*dbar + n*d)/c).  Real by the d -> -d symmetry.  One numpy pass
-    holds all c residues, so memory grows linearly in c."""
+    holds the (c - 1)/2 lower residues, so memory grows linearly in c."""
     if c < 1:
         raise ValueError("c >= 1")
     if c * c >= 2 ** 63:
@@ -87,40 +105,140 @@ def kloosterman(m: int, n: int, c: int) -> HP:
     return HP(val, err, 53)
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the quadratic residue a (mod the odd prime p), by
+    Tonelli-Shanks."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _prime_power_roots(D: int, p: int, q: int) -> list[int]:
+    """The roots of x^2 = -D (mod q), q a power of the prime p."""
+    a = -D % p
+    if p > 2 and a:
+        # two roots mod p or none, each with one Newton (Hensel) lift to q
+        if pow(a, (p - 1) // 2, p) != 1:
+            return []
+        r, k = _sqrt_mod_prime(a, p), p
+        while k < q:
+            k = min(k * k, q)
+            r = (r - (r * r + D) * pow(2 * r, -1, k)) % k
+        return [r, q - r]
+    # p = 2 or p | D: the one root mod p is a, and a root x mod p^j lifts
+    # to those of x + t p^j, t < p, that are roots mod p^(j+1)
+    roots, k = [a], p
+    while k < q:
+        roots = [y for x in roots for y in range(x, k * p, k) if (y * y + D) % (k * p) == 0]
+        k *= p
+    return roots
+
+
+def _roots(D: int, c: int, memo: dict) -> list[int]:
+    """The roots of x^2 = -D (mod c), in no particular order, joined by CRT
+    from those mod each prime power of c, whose primes trial division
+    finds; memo keeps the root sets of odd moduli and prime powers, so a
+    run over many moduli finds each once."""
+    if c in memo:
+        return memo[c]
+    p = 2
+    while c % p and p * p <= c:
+        p += 1
+    if c % p:
+        p = c
+    q = p
+    while c % (q * p) == 0:
+        q *= p
+    if q == c:
+        roots = _prime_power_roots(D, p, q)
+    else:
+        m = c // q
+        roots = _roots(D, q, memo)
+        if roots:
+            inv = pow(q, -1, m)
+            roots = [x + q * ((y - x) * inv % m) for x in roots for y in _roots(D, m, memo)]
+    if c % 2 or q == c:
+        memo[c] = roots
+    return roots
+
+
+def _exp_sum_value(c: int, roots: list[int]) -> tuple[float, float]:
+    # fsum is correctly rounded in any order, so the roots need no sorting
+    val = fsum([cos(2.0 * pi * ((2 * r) % c) / c) for r in roots])
+    return val, len(roots) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
+
+
+def _exp_sum_run(D: int, C: int, step: int = 1):
+    """(value, error bound) of S(D, c) for c = step, 2 step, ..., up to C,
+    with the root sets of the odd parts and prime powers found once for the
+    whole run."""
+    memo = {1: [0]}
+    for c in range(step, C + 1, step):
+        yield _exp_sum_value(c, _roots(D, c, memo))
+
+
 def exp_sum_S(D: int, c: int) -> HP:
-    """S(D,c) = sum over x (mod c) with x^2 = -D (mod c) of e(2x/c)."""
+    """S(D,c) = sum over x (mod c) with x^2 = -D (mod c) of e(2x/c), for
+    c^2 < 2^63 as in kloosterman."""
     if c < 1:
         raise ValueError("c >= 1")
     if c * c >= 2 ** 63:
-        raise ValueError(f"c = {c} is too large for the int64 root scan")
-    # roots in increasing order; x^2 + (D mod c) < c^2 stays inside int64
-    x = np.arange(c, dtype=np.int64)
-    roots = np.flatnonzero((x * x + D % c) % c == 0).tolist()
-    val = fsum([cos(2.0 * pi * ((2 * r) % c) / c) for r in roots])
-    return HP(val, len(roots) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
+        raise ValueError(f"c = {c} is past the domain c^2 < 2^63 (kloosterman's int64 bound)")
+    return HP(*_exp_sum_value(c, _roots(D, c, {1: [0]})), 53)
 
 
-def bessel_i(nu, x, precision: int = 53) -> HP:
-    """Modified Bessel function of the first kind I_nu(x), x >= 0.
+def _bessel_values(nu, xs, precision: int = 53) -> list:
+    """I_nu(x) for each x > 0 of xs, as mpfs rounded once to precision + 24
+    bits, all in one working precision with 1/Gamma(nu + 1) found once.
 
     I_nu(x) = (x/2)^nu / Gamma(nu+1) * 0F1(; nu+1; x^2/4), evaluated as
     mp.besseli at 24 guard bits evaluates it (the same factors at 10 more
-    bits, rounded once to p + 24) without its generic hypercomb checks.
-    mpmath evaluates I_nu to its working precision, so the bound is one
-    rounding at `precision`.
+    bits) without its generic hypercomb checks.
     """
+    p = max(precision, 53)
+    out = []
+    with mp.workprec(p + 34):
+        nu = mp.convert(nu)
+        g = mp.rgamma(nu + 1)
+        for x in xs:
+            x = mp.convert(x)
+            w = mp.fmul(x, 0.5, exact=True)
+            r = mp.fmul(w, w, prec=max(0, p + 34 + mp.mag(x)))
+            val = mp.fprod([mp.hyp0f1(nu + 1, r), g, mp.power(w, nu)])
+            out.append(mp.mpf(val, prec=p + 24))
+    return out
+
+
+def bessel_i(nu, x, precision: int = 53) -> HP:
+    """Modified Bessel function of the first kind I_nu(x) for real nu >= 0
+    and x >= 0.  mpmath evaluates I_nu to its working precision, so the
+    bound is one rounding at `precision`.
+    """
+    if nu < 0:
+        # I_nu(0) is infinite for non-integer nu < 0 and 0 for integer ones,
+        # and 1/Gamma(nu + 1) is 0 at the negative integers
+        raise ValueError("nu >= 0")
     if x < 0:
         raise ValueError("x >= 0")
     if x == 0:
         return HP(0 if nu > 0 else 1, 0.0, precision)
-    p = max(precision, 53)
-    with mp.workprec(p + 34):
-        nu, x = mp.convert(nu), mp.convert(x)
-        w = mp.fmul(x, 0.5, exact=True)
-        r = mp.fmul(w, w, prec=max(0, p + 34 + mp.mag(x)))
-        val = mp.fprod([mp.hyp0f1(nu + 1, r), mp.rgamma(nu + 1), mp.power(w, nu)])
-    val = mp.mpf(val, prec=p + 24)
-    return HP(val, _ulp(abs(float(val)), p), precision)
+    val, = _bessel_values(nu, [x], precision)
+    return HP(val, _ulp(abs(float(val)), max(precision, 53)), precision)
 
 
 def _poincare_tail_bound(k: int, m: int, n: int, C: int) -> float:
@@ -155,10 +273,17 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
         raise DomainError("m, n, c_max >= 1")
     C = min(c_max, _POINCARE_C_CAP)
     xmn = 4.0 * pi * math.sqrt(m * n)
+    # each I_{k-1}(4 pi sqrt(mn)/c) is rounded to 53 bits as an HP of
+    # bessel_i would round it, with the same bound
+    bessel = []
+    for val in _bessel_values(k - 1, [xmn / c for c in range(1, C + 1)]):
+        b53 = mp.mpf(val, prec=53)
+        b = float(b53)
+        err = _ulp(abs(float(val)), 53)
+        bessel.append((b, err + _ulp(abs(b), 53) if b53 != val else err))
     # the c-sum runs in float64: fail before it if the c = 1 term, the
     # largest, or the tail bound past C leaves the float range
-    first = bessel_i(k - 1, xmn, 53)
-    if math.isinf(float(first.value)):
+    if math.isinf(bessel[0][0]):
         raise ValueError(f"I_{k - 1}(4 pi sqrt(m n)) at m n = {m * n} is past the float range")
     try:
         tail = _poincare_tail_bound(k, m, n, C)
@@ -171,14 +296,12 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
     # unfolding q^{-m} against the weight-k slash action produces the phase
     # e((n d - m dbar)/c), i.e. the first Kloosterman index enters with a
     # minus sign
-    for c, (kl, kl_err) in enumerate(_kloosterman_run(-m, n, C), 1):
-        bi = bessel_i(k - 1, xmn / c, 53) if c > 1 else first
-        b = float(bi.value)
+    for c, (kl, kl_err), (b, b_err) in zip(range(1, C + 1), _kloosterman_run(-m, n, C), bessel):
         v = kl / c * b
         vals.append(v)
         errs += (
-            kl_err / c * (b + bi.error_bound)
-            + abs(kl) / c * bi.error_bound
+            kl_err / c * (b + b_err)
+            + abs(kl) / c * b_err
             + _ulp(abs(v), 53)
         )
     s = fsum(vals)

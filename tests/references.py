@@ -1,12 +1,16 @@
 """Reference code that only the tests call: explicit SL2(Z) transporters
 between forms, against which qform.gamma0_class is checked, membership
 and the Gram determinant of a coordinate lattice, against which its
-coset list is checked, and the scalar Kudla-Millson term of one lattice
-vector, against which thetalift's vectorized kernel sums are checked."""
+coset list is checked, the scalar Kudla-Millson term of one lattice
+vector, against which thetalift's vectorized kernel sums are checked,
+and the scan over all of Z/c for the roots of x^2 = -D, against which
+sums.exp_sum_S's CRT roots are checked."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from cmtrace.hp import HP, _ulp
 from cmtrace.lattice import LatticeSpec, LatticeVector
@@ -18,6 +22,7 @@ from cmtrace.qform import (
     gamma0_class,
     reduce_with_transform,
 )
+from cmtrace.sums import _COS_TERM_ERR
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +167,21 @@ def km_value(X: LatticeVector, tau, z, precision: int = 53) -> HP:
 def _frac_to_mpf(x):
     f = Fraction(x)
     return mp.mpf(f.numerator) / f.denominator
+
+
+# ---------------------------------------------------------------------------
+# the quadratic exponential sum S(D, c) by a scan over all of Z/c
+
+def exp_sum_terms(c: int, roots) -> tuple:
+    """(value, error bound) of S(D, c) from its roots of x^2 = -D (mod c),
+    one math.cos term per root as the scan summed them."""
+    val = math.fsum([math.cos(2.0 * math.pi * ((2 * r) % c) / c) for r in roots])
+    return val, len(roots) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
+
+
+def exp_sum_scan(D: int, c: int) -> tuple:
+    """(value, error bound) of S(D, c) with the roots found by testing
+    every x < c, in increasing order: the route exp_sum_S took before it
+    joined the roots mod each prime power by CRT."""
+    x = np.arange(c, dtype=np.int64)
+    return exp_sum_terms(c, np.flatnonzero((x * x + D % c) % c == 0).tolist())

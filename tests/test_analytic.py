@@ -494,6 +494,19 @@ class TestExactFormula:
         assert abs(float(exact_formula_tJ(3, 10000).value) + 248) < 0.02
         assert abs(float(exact_formula_tJ(4, 10000).value) - 492) < 0.04
 
+    @pytest.mark.parametrize("D, value, bound", [
+        (3, "-248.0002552425113", "1.7770612480778651e-12"),
+        (7, "-4118.999592415224", "2.4236332770731265e-11"),
+        (79, "-1339190286959.9875", "0.00743936310897847"),
+    ])
+    def test_pinned_bytes_at_40000(self, D, value, bound):
+        # the bits of the scan over all of Z/c.  At D = 7 and 79, 80 and 66
+        # moduli have eight roots whose cosines fsum to exactly 0.0
+        # (S(7, 184) is the first); the skip rule drops them, so their
+        # bounds stay out of the total
+        v = exact_formula_tJ(D, 40000)
+        assert (repr(float(v.value)), repr(v.error_bound)) == (value, bound)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             exact_formula_tJ(3, 6)

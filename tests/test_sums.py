@@ -6,8 +6,9 @@ working precision, against sqrt(2/(pi x)) sinh x at order 1/2, against
 (1/pi) int_0^pi e^{x cos t} cos(nu t) dt by quadrature at integer order,
 and to the last bit against the mp.besseli route; K(m,n,c) against a
 direct complex-exponential sum and, to the last bit, against the
-per-residue loop; the three Poincare coefficients against their known
-integer values (141444, 68234240, 6446476530) and, to the last bit,
+per-residue loop; S(D,c) to the last bit against the scan over all of
+Z/c in tests/references.py; the three Poincare coefficients against their
+known integer values (141444, 68234240, 6446476530) and, to the last bit,
 against pinned reprs.
 """
 
@@ -23,12 +24,15 @@ from hypothesis import strategies as st
 from cmtrace.hp import HP, _ulp
 from cmtrace.sums import (
     _COS_TERM_ERR,
+    _exp_sum_run,
+    _kloosterman_block,
     _kloosterman_run,
     bessel_i,
     exp_sum_S,
     kloosterman,
     poincare_coeff,
 )
+from references import exp_sum_scan, exp_sum_terms
 
 
 def _kloosterman_naive(m, n, c):
@@ -66,7 +70,7 @@ def _bessel_besseli(nu, x, precision=53):
     return HP(val, _ulp(abs(float(val)), p), precision)
 
 
-ORACLE_INDICES = [(-1, 1), (-1, 2), (-1, 3), (3, -7), (-2, 5)]
+ORACLE_INDICES = [(-1, 1), (-1, 2), (-1, 3), (3, -7), (-2, 5), (0, 0), (5, 5)]
 
 
 class TestKloosterman:
@@ -79,6 +83,14 @@ class TestKloosterman:
             v = kloosterman(m, n, c)
             assert (float(v.value), v.error_bound) == want
             assert blocked == want
+
+    @pytest.mark.parametrize("lo, hi", [(1, 2), (2, 3), (1, 3), (2, 4), (3, 4), (1, 12), (2, 12)])
+    def test_block_edges_equal_residue_loop(self, lo, hi):
+        # c = 1 and c = 2 have no d <-> c - d pairs; a block may start or
+        # stop at either
+        for m, n in ORACLE_INDICES:
+            want = [_kloosterman_loop(m, n, c) for c in range(lo, hi)]
+            assert _kloosterman_block(m, n, lo, hi) == want
 
     @pytest.mark.parametrize("m", [2 ** 62, 10 ** 20, -(10 ** 30) - 3])
     def test_large_index_reduced_before_int64(self, m):
@@ -113,6 +125,38 @@ class TestKloosterman:
         assert abs(v) <= c + 1e-9  # trivial bound: phi(c) <= c terms of modulus 1
 
 
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+_C_MAX = 10 ** 5
+
+
+@st.composite
+def _modulus_and_disc(draw):
+    """(c, D) with c <= 10^5: a high power of 2 times an odd part, an odd
+    prime power, a product of five distinct primes, or any c; D any
+    integer, or a multiple of p^j or 4 p^2 for a prime p | c."""
+    kind = draw(st.sampled_from(["two", "prime power", "five primes", "any"]))
+    if kind == "two":
+        e = draw(st.integers(1, 16))
+        c = 2 ** e * (2 * draw(st.integers(0, ((_C_MAX >> e) - 1) // 2)) + 1)
+    elif kind == "prime power":
+        p = draw(st.sampled_from(_SMALL_PRIMES[1:] + [101, 313, 991, 99991]))
+        c = p ** draw(st.integers(1, int(math.log(_C_MAX, p))))
+    elif kind == "five primes":
+        ps = draw(st.lists(st.sampled_from(_SMALL_PRIMES), min_size=5, max_size=5, unique=True)
+                  .filter(lambda ps: math.prod(ps) <= _C_MAX))
+        c = math.prod(ps)
+    else:
+        c = draw(st.integers(1, _C_MAX))
+    ps = [p for p in range(2, min(c, 400) + 1) if c % p == 0 and all(p % q for q in range(2, p))]
+    if c > 1 and not ps:
+        ps = [c]  # c is prime
+    if not ps or draw(st.booleans()):
+        return c, draw(st.integers(-10 ** 6, 10 ** 6))
+    p = draw(st.sampled_from(ps))
+    k = draw(st.integers(-1000, 1000))
+    return c, draw(st.sampled_from([4 * p * p * k, p ** draw(st.integers(1, 6)) * k]))
+
+
 class TestExpSumS:
     def test_anchors(self):
         assert abs(float(exp_sum_S(3, 4).value) - (-2)) < 1e-12
@@ -140,6 +184,30 @@ class TestExpSumS:
         v = exp_sum_S(D, c)
         assert repr(float(v.value)) == repr(val)
         assert v.error_bound == len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
+
+    def test_equals_scan_every_small_modulus(self):
+        # every D in -20..300 and c <= 2000, from exp_sum_S and from a run
+        # over every c, whose every fourth term is the exact formula's run;
+        # the scan groups the residues of each c by x^2 mod c once for all D
+        Ds = range(-20, 301)
+        runs = [list(_exp_sum_run(D, 2000)) for D in Ds]
+        for D, run in zip(Ds, runs):
+            assert list(_exp_sum_run(D, 2000, 4)) == run[3::4]
+        for c in range(1, 2001):
+            classes = {}
+            for x in range(c):
+                classes.setdefault(x * x % c, []).append(x)
+            for D, run in zip(Ds, runs):
+                want = exp_sum_terms(c, classes.get(-D % c, []))
+                v = exp_sum_S(D, c)
+                assert (float(v.value), v.error_bound) == want == run[c - 1]
+
+    @given(_modulus_and_disc())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scan(self, case):
+        c, D = case
+        v = exp_sum_S(D, c)
+        assert (float(v.value), v.error_bound) == exp_sum_scan(D, c)
 
     def test_modulus_past_int64_rejected(self):
         with pytest.raises(ValueError, match="int64"):
@@ -172,6 +240,13 @@ class TestBesselI:
         assert float(bessel_i(0, 0).value) == 1.0
         with pytest.raises(ValueError):
             bessel_i(3, -1.0)
+
+    @pytest.mark.parametrize("nu, x", [(-1, 0), (-0.5, 0), (-3, 0.0), (-1, 1.0), (-0.5, 2.0)])
+    def test_negative_order_rejected(self, nu, x):
+        # I_{-1}(0) = 0 and I_{-1/2}(0) = +inf, where the x = 0 branch gave
+        # 1; at x > 0 the 0F1 parameter nu + 1 = 0 divided by zero
+        with pytest.raises(ValueError, match="nu >= 0"):
+            bessel_i(nu, x)
 
     @pytest.mark.parametrize("x", [50.5, 55.0, 60.0])
     def test_half_integer_bound_at_high_precision(self, x):
@@ -233,11 +308,23 @@ class TestPoincare:
         (2, 600, "68234239.99999899", "0.002886934467283774"),
         (3, 600, "6446476529.999984", "0.009754134492306528"),
         (1, 4000, "141443.99999999953", "8.117664962998753e-06"),
+        # x^2/4 = 16 pi^2 >= 128 at c = 1: hyp0f1's asymptotic branch
+        (4, 600, "275423256575.9997", "0.023527790394133552"),
     ])
     def test_pinned_bytes(self, n, c_max, value, bound):
         # the value and bound of the per-residue Kloosterman loop and the
         # mp.besseli route, to the last bit
         v = poincare_coeff(4, 1, n, c_max)
+        assert (repr(float(v.value)), repr(v.error_bound)) == (value, bound)
+
+    @pytest.mark.parametrize("k, m, n, c_max, value, bound", [
+        (14, 1, 1, 600, "-323.9999999999998", "5.036131275328145e-13"),
+        (4, 2, 1, 600, "8529279.999999873", "0.00036086680841047175"),
+        (6, 2, 1, 200, "-2695039.999999998", "8.446390159050749e-08"),
+    ])
+    def test_pinned_bytes_weight_and_index(self, k, m, n, c_max, value, bound):
+        # as test_pinned_bytes, at the top weight and at the pole order 2
+        v = poincare_coeff(k, m, n, c_max)
         assert (repr(float(v.value)), repr(v.error_bound)) == (value, bound)
 
     def test_memory_stays_flat(self):
