@@ -370,7 +370,7 @@ def exact_formula_tJ(D: int, c_max: int = 10000) -> HP:
     """-24 H(D) + sum over 0 < c = 0 (mod 4), c <= c_max of
     S(D,c) sinh(4 pi sqrt(D)/c).  Partial sum by contract; the series
     converges too slowly for certified summation."""
-    from .sums import _exp_sum_run
+    from .sums import exp_sum_S
 
     _require_disc(D)
     if c_max % 4:
@@ -379,14 +379,15 @@ def exact_formula_tJ(D: int, c_max: int = 10000) -> HP:
     total = -24.0 * h.numerator / h.denominator
     err = _ulp(abs(total), 53)
     x = 4.0 * math.pi * math.sqrt(D)
-    for c, (s, s_err) in zip(range(4, c_max + 1, 4), _exp_sum_run(D, c_max, 4)):
-        if s == 0.0 and s_err < 1e-12:
+    for c in range(4, c_max + 1, 4):
+        s = exp_sum_S(D, c)
+        if float(s.value) == 0.0 and s.error_bound < 1e-12:
             continue
         # sinh via exp: no cancellation for the large arguments that matter
         arg = x / c
         sh = 0.5 * (math.exp(arg) - math.exp(-arg))
-        total += s * sh
-        err += s_err * sh + _ulp(abs(s) * sh + 1.0, 53)
+        total += float(s.value) * sh
+        err += s.error_bound * sh + _ulp(abs(float(s.value)) * sh + 1.0, 53)
     return HP(total, err, 53)
 
 

@@ -20,23 +20,33 @@ def _ulp(mag: float, prec: int) -> float:
     return math.ldexp(mag, 1 - prec) + 5e-324
 
 
+def _rounded(value, error_bound: float, prec: int):
+    """value as an mpf (an mpc if complex) rounded once to prec bits, and
+    error_bound plus what that rounding costs: one ulp at prec if it
+    changed the value, else nothing."""
+    # round at the declared precision, not the ambient context's: otherwise
+    # a high-precision value rounded for a low-precision caller would be
+    # silently re-rounded, invalidating error bounds
+    if isinstance(value, (mp.mpc, complex)):
+        with mp.workprec(prec):
+            out = mp.mpc(value)
+    else:
+        out = mp.mpf(value, prec=prec)
+    if out != value:
+        # a nonzero value never rounds to 0, so a magnitude that underflows
+        # the float range is charged _ulp's 5e-324 floor
+        mag = float(abs(out)) if isinstance(out, mp.mpc) else abs(float(out))
+        error_bound += _ulp(mag, prec)
+    return out, error_bound
+
+
 class HP:
     __slots__ = ("value", "error_bound", "prec")
 
     def __init__(self, value, error_bound: float, prec: int):
         self.prec = int(prec)
-        is_complex = isinstance(value, (mp.mpc, complex))
-        # convert at the declared precision, not the ambient context's:
-        # otherwise a high-precision value constructed from a low-precision
-        # caller would be silently re-rounded, invalidating error bounds
-        with mp.workprec(self.prec):
-            self.value = (mp.mpc if is_complex else mp.mpf)(value)
-        self.error_bound = float(error_bound)  # bound on |true - value|
-        if self.value != value:  # conversion rounded: charge one ulp
-            # a nonzero value never rounds to 0, so a magnitude that
-            # underflows the float range is charged _ulp's 5e-324 floor
-            mag = float(abs(self.value)) if is_complex else abs(float(self.value))
-            self.error_bound += _ulp(mag, self.prec)
+        # bound on |true - value|
+        self.value, self.error_bound = _rounded(value, float(error_bound), self.prec)
         if not self.error_bound >= 0:  # also rejects nan
             raise ValueError("error bound must be nonnegative")
 

@@ -12,7 +12,7 @@ from math import cos, fsum, pi
 import mpmath as mp
 import numpy as np
 
-from .hp import HP, _ulp
+from .hp import HP, _rounded, _ulp
 from .series import DomainError
 
 # per-term evaluation noise for a cos(2*pi*rational) in float64
@@ -149,47 +149,28 @@ def _prime_power_roots(D: int, p: int, q: int) -> list[int]:
     return roots
 
 
-def _roots(D: int, c: int, memo: dict) -> list[int]:
+def _roots(D: int, c: int) -> list[int]:
     """The roots of x^2 = -D (mod c), in no particular order, joined by CRT
     from those mod each prime power of c, whose primes trial division
-    finds; memo keeps the root sets of odd moduli and prime powers, so a
-    run over many moduli finds each once."""
-    if c in memo:
-        return memo[c]
-    p = 2
-    while c % p and p * p <= c:
-        p += 1
-    if c % p:
-        p = c
-    q = p
-    while c % (q * p) == 0:
-        q *= p
-    if q == c:
-        roots = _prime_power_roots(D, p, q)
-    else:
-        m = c // q
-        roots = _roots(D, q, memo)
-        if roots:
-            inv = pow(q, -1, m)
-            roots = [x + q * ((y - x) * inv % m) for x in roots for y in _roots(D, m, memo)]
-    if c % 2 or q == c:
-        memo[c] = roots
+    finds."""
+    roots, k, p = [0], 1, 2  # the roots mod k, the part of c done so far
+    while c > 1:
+        if p * p > c:
+            p = c  # what is left is prime
+        if c % p == 0:
+            q = p
+            c //= p
+            while c % p == 0:
+                q *= p
+                c //= p
+            more = _prime_power_roots(D, p, q)
+            inv = pow(k, -1, q)
+            roots = [x + k * ((y - x) * inv % q) for x in roots for y in more]
+            if not roots:
+                break
+            k *= q
+        p = 3 if p == 2 else p + 2
     return roots
-
-
-def _exp_sum_value(c: int, roots: list[int]) -> tuple[float, float]:
-    # fsum is correctly rounded in any order, so the roots need no sorting
-    val = fsum([cos(2.0 * pi * ((2 * r) % c) / c) for r in roots])
-    return val, len(roots) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
-
-
-def _exp_sum_run(D: int, C: int, step: int = 1):
-    """(value, error bound) of S(D, c) for c = step, 2 step, ..., up to C,
-    with the root sets of the odd parts and prime powers found once for the
-    whole run."""
-    memo = {1: [0]}
-    for c in range(step, C + 1, step):
-        yield _exp_sum_value(c, _roots(D, c, memo))
 
 
 def exp_sum_S(D: int, c: int) -> HP:
@@ -199,7 +180,10 @@ def exp_sum_S(D: int, c: int) -> HP:
         raise ValueError("c >= 1")
     if c * c >= 2 ** 63:
         raise ValueError(f"c = {c} is past the domain c^2 < 2^63 (kloosterman's int64 bound)")
-    return HP(*_exp_sum_value(c, _roots(D, c, {1: [0]})), 53)
+    # fsum is correctly rounded in any order, so the roots need no sorting
+    roots = _roots(D, c)
+    val = fsum([cos(2.0 * pi * ((2 * r) % c) / c) for r in roots])
+    return HP(val, len(roots) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53), 53)
 
 
 def _bessel_values(nu, xs, precision: int = 53) -> list:
@@ -273,14 +257,11 @@ def poincare_coeff(k: int, m: int, n: int, c_max: int) -> HP:
         raise DomainError("m, n, c_max >= 1")
     C = min(c_max, _POINCARE_C_CAP)
     xmn = 4.0 * pi * math.sqrt(m * n)
-    # each I_{k-1}(4 pi sqrt(mn)/c) is rounded to 53 bits as an HP of
-    # bessel_i would round it, with the same bound
+    # each I_{k-1}(4 pi sqrt(mn)/c) rounded to 53 bits, with bessel_i's bound
     bessel = []
     for val in _bessel_values(k - 1, [xmn / c for c in range(1, C + 1)]):
-        b53 = mp.mpf(val, prec=53)
-        b = float(b53)
-        err = _ulp(abs(float(val)), 53)
-        bessel.append((b, err + _ulp(abs(b), 53) if b53 != val else err))
+        b, err = _rounded(val, _ulp(abs(float(val)), 53), 53)
+        bessel.append((float(b), err))
     # the c-sum runs in float64: fail before it if the c = 1 term, the
     # largest, or the tail bound past C leaves the float range
     if math.isinf(bessel[0][0]):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from cmtrace.hp import HP, _ulp
 from cmtrace.sums import (
     _COS_TERM_ERR,
-    _exp_sum_run,
     _kloosterman_block,
     _kloosterman_run,
     bessel_i,
@@ -186,21 +185,15 @@ class TestExpSumS:
         assert v.error_bound == len(terms) * _COS_TERM_ERR + _ulp(abs(val) + 1.0, 53)
 
     def test_equals_scan_every_small_modulus(self):
-        # every D in -20..300 and c <= 2000, from exp_sum_S and from a run
-        # over every c, whose every fourth term is the exact formula's run;
-        # the scan groups the residues of each c by x^2 mod c once for all D
-        Ds = range(-20, 301)
-        runs = [list(_exp_sum_run(D, 2000)) for D in Ds]
-        for D, run in zip(Ds, runs):
-            assert list(_exp_sum_run(D, 2000, 4)) == run[3::4]
+        # every D in -20..300 and c <= 2000; the scan groups the residues of
+        # each c by x^2 mod c once for all D
         for c in range(1, 2001):
             classes = {}
             for x in range(c):
                 classes.setdefault(x * x % c, []).append(x)
-            for D, run in zip(Ds, runs):
-                want = exp_sum_terms(c, classes.get(-D % c, []))
+            for D in range(-20, 301):
                 v = exp_sum_S(D, c)
-                assert (float(v.value), v.error_bound) == want == run[c - 1]
+                assert (float(v.value), v.error_bound) == exp_sum_terms(c, classes.get(-D % c, []))
 
     @given(_modulus_and_disc())
     @settings(max_examples=300, deadline=None)
