@@ -13,14 +13,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_mul_int, mpf_pi, to_fixed
 
 from .hp import HP, _ulp
-from .qform import QuadForm, enumerate_reduced, hurwitz, level_p_orbits, stabilizer_order
+from .qform import (
+    QuadForm,
+    _has_mirror,
+    _reduced_triples,
+    _weight,
+    enumerate_reduced,
+    hurwitz,
+    level_p_orbits,
+    stabilizer_order,
+)
 from .series import DomainError, QSeries, _poly_in_j, _step, bigJ_series, faber_poly
 
 _LN2 = math.log(2.0)
@@ -326,7 +337,7 @@ def trace(f_spec, D: int, p: int = 1, precision: int | None = None) -> TraceEntr
         count = len(forms)
         # a b < 0 form is the conjugate partner of its mirror: the same
         # real part, counted by mult
-        terms = [(F, 1 if (F.b == 0 or F.b == F.a or F.a == F.c) else 2, stabilizer_order(F),
+        terms = [(F, 2 if _has_mirror(F.a, F.b, F.c) else 1, stabilizer_order(F),
                   _form_precision(precision, D, deg, F.a)) for F in forms if F.b >= 0]
     else:
         orbits = level_p_orbits(D, p)
@@ -413,23 +424,38 @@ def duke_statistic(D: int, precision: int = 53) -> HP:
     Regrouped per form so float64 suffices at default precision: for
     Im alpha > 1 the pair J(alpha) - e(-alpha) is the tail sum
     sum_{n>=1} c(n) q^n, which is free of the e^{pi sqrt D} cancellation.
+
+    The float route evaluates one tail per mirror pair.  alpha of
+    [a, -b, c] is minus the conjugate of alpha of [a, b, c], so its q is
+    the conjugate q-bar, bit for bit: 2j*pi*alpha, cmath.exp, Horner's rule
+    and 1/q all commute with conjugation, and the two real parts are equal
+    floats.  The term of each b >= 0 triple is added at both places its
+    forms take in lexicographic order, so the float sum is the same
+    sequence of additions as one term per form.
     """
     _require_disc(D)
     if precision > 53:
         return _duke_statistic_mp(D, precision)
     coeffs = _J_coeff_floats(24)
+    sqrt_D = math.sqrt(D)
     total = 0.0
     h6 = 0  # 6 H(D) = sum of 6/|stab| over the same forms
-    for F in enumerate_reduced(D):
-        w = stabilizer_order(F)
-        h6 += 6 // w
-        alpha = complex(-F.b, math.sqrt(D)) / (2 * F.a)
-        q = cmath.exp(2j * math.pi * alpha)
-        tail = _J_tail(q, coeffs)
-        if alpha.imag > 1.0:
-            total += tail.real  # w = 1 out here; 1/q cancels against e(-alpha)
-        else:
-            total += (tail + 1.0 / q).real / w
+    for _, row in groupby(_reduced_triples(D), key=itemgetter(0)):
+        terms = []  # (term, has a mirror) of each b >= 0 triple of this a
+        for a, b, c in row:
+            w = _weight(a, b, c)
+            mirrored = _has_mirror(a, b, c)
+            h6 += (6 // w) * (2 if mirrored else 1)
+            alpha = complex(-b, sqrt_D) / (2 * a)
+            q = cmath.exp(2j * math.pi * alpha)
+            tail = _J_tail(q, coeffs)
+            # above Im alpha = 1, w = 1 and 1/q cancels against e(-alpha)
+            terms.append((tail.real if alpha.imag > 1.0 else (tail + 1.0 / q).real / w, mirrored))
+        for t, mirrored in reversed(terms):  # the b < 0 mirrors, by descending |b|
+            if mirrored:
+                total += t
+        for t, _ in terms:
+            total += t
     h = Fraction(h6, 6)
     val = total / (h.numerator / h.denominator)
     return HP(mp.mpf(val), 1e-9 * (abs(val) + 1.0), 53)

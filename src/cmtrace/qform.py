@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 
 
 @dataclass(frozen=True, order=True)
@@ -112,69 +114,95 @@ def reduce(Q: QuadForm) -> QuadForm:
     return reduce_with_transform(Q)[0]
 
 
-def stabilizer_order(Q: QuadForm) -> int:
-    """Order of the PSL2(Z)-stabilizer: 3 at the order-3 elliptic point,
-    2 at i, else 1."""
-    R = Q if Q.is_reduced() else reduce(Q)
-    if R.a == R.b == R.c:
+def _weight(a: int, b: int, c: int) -> int:
+    """Order of the PSL2(Z)-stabilizer of the *reduced* form [a, b, c]: 3 at
+    the order-3 elliptic point, 2 at i, else 1."""
+    if a == b == c:
         return 3
-    if R.b == 0 and R.a == R.c:
+    if b == 0 and a == c:
         return 2
     return 1
 
 
+def stabilizer_order(Q: QuadForm) -> int:
+    """Order of the PSL2(Z)-stabilizer: 3 at the order-3 elliptic point,
+    2 at i, else 1."""
+    R = Q if Q.is_reduced() else reduce(Q)
+    return _weight(R.a, R.b, R.c)
+
+
+# a generator of each stabilizer order's PSL2-stabilizer of a reduced form
+_STAB_GENERATORS = {1: None, 2: _S, 3: ((0, -1), (1, 1))}
+
+
 def _stab_generator(R: QuadForm):
     """A generator of the PSL2-stabilizer of a *reduced* form (or None)."""
-    if R.a == R.b == R.c:
-        return ((0, -1), (1, 1))  # order 3 in PSL2
-    if R.b == 0 and R.a == R.c:
-        return _S  # order 2 in PSL2
-    return None
+    return _STAB_GENERATORS[_weight(R.a, R.b, R.c)]
 
 
 # ---------------------------------------------------------------------------
 # Enumeration and class numbers
 
-def enumerate_reduced(D: int):
-    """All reduced forms of discriminant -D, lexicographic in (a,b,c)."""
+def _reduced_triples(D: int):
+    """(a, b, c) of every reduced form of discriminant -D with b >= 0, in
+    (a, b) order.
+
+    b has D's parity and b <= a <= sqrt(D/3), as D = 4ac - b^2 >= 3a^2.
+    For each such b, 4a | b^2 + D says a divides n = (b^2 + D)/4, and
+    c = n/a >= a says a <= sqrt(n): a runs over the divisors of n in
+    [b, sqrt(n)].  The triples are found by b and sorted into (a, b)
+    order once."""
     if D <= 0 or D % 4 in (1, 2):
         return []
     out = []
-    for a in range(1, isqrt(D // 3) + 1):
-        for b in range(D & 1, a + 1, 2):
-            num = b * b + D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            out.append(QuadForm(a, b, c))
-            if 0 < b < a < c:
-                out.append(QuadForm(a, -b, c))
-    return sorted(out, key=lambda f: (f.a, f.b, f.c))
+    for b in range(D & 1, isqrt(D // 3) + 1, 2):
+        n = (b * b + D) >> 2
+        out += [(a, b, n // a) for a in range(max(b, 1), isqrt(n) + 1) if n % a == 0]
+    out.sort()
+    return out
+
+
+def _has_mirror(a: int, b: int, c: int) -> bool:
+    """True iff [a, -b, c] is reduced too, for a reduced [a, b, c], b >= 0."""
+    return 0 < b < a < c
+
+
+def enumerate_reduced(D: int):
+    """All reduced forms of discriminant -D, lexicographic in (a,b,c).
+
+    Built in order from the triples of _reduced_triples: for each a the
+    b < 0 mirrors come first, by descending |b|, then the b >= 0 forms, so
+    no form is sorted."""
+    out = []
+    for _, row in groupby(_reduced_triples(D), key=itemgetter(0)):
+        row = list(row)
+        out += [QuadForm(a, -b, c) for a, b, c in reversed(row) if _has_mirror(a, b, c)]
+        out += [QuadForm(a, b, c) for a, b, c in row]
+    return out
 
 
 def hurwitz(D: int) -> Fraction:
-    """Hurwitz class number H(D), with H(0) = -1/12."""
+    """Hurwitz class number H(D), with H(0) = -1/12: the sum of 1/w over
+    the reduced forms, w the stabilizer order.  It runs over the triples of
+    _reduced_triples, counts each mirror twice and builds no form."""
     if D < 0:
         raise ValueError("D must be >= 0")
     if D == 0:
         return Fraction(-1, 12)
-    # each form counts 1/stabilizer_order: 1/3, 1/2 or 1, in sixths
-    return Fraction(sum(6 // stabilizer_order(f) for f in enumerate_reduced(D)), 6)
+    # each form counts 1/w: 1/3, 1/2 or 1, in sixths
+    return Fraction(sum(6 // _weight(a, b, c) * (2 if _has_mirror(a, b, c) else 1)
+                        for a, b, c in _reduced_triples(D)), 6)
 
 
 def hurwitz_table(Dmax: int):
     """H(D) for all 0 <= D <= Dmax by a single sweep over reduced triples.
 
-    Independent of enumerate_reduced's per-D loop shape, which makes it a
+    Independent of _reduced_triples' per-D divisor scan, which makes it a
     useful cross-check as well as the fast batch path.  Every reduced form
-    has D = 4ac - b^2 >= 3a^2, so a <= sqrt(Dmax/3).
+    has D = 4ac - b^2 >= 3a^2, so a <= sqrt(Dmax/3).  The sweep counts
+    6 H(D) in integers and makes each Fraction once.
     """
-    table = {0: Fraction(-1, 12)}
-    for D in range(1, Dmax + 1):
-        if D % 4 in (0, 3):
-            table[D] = Fraction(0)
+    sixths = {D: 0 for D in range(1, Dmax + 1) if D % 4 in (0, 3)}
     for a in range(1, isqrt(Dmax // 3) + 1):
         for b in range(0, a + 1):
             c = a
@@ -183,15 +211,15 @@ def hurwitz_table(Dmax: int):
                 if D > Dmax:
                     break
                 if a == b == c:
-                    table[D] += Fraction(1, 3)
+                    sixths[D] += 2
                 elif b == 0 and a == c:
-                    table[D] += Fraction(1, 2)
+                    sixths[D] += 3
                 elif 0 < b < a < c:
-                    table[D] += 2  # the b<0 mirror is also reduced
+                    sixths[D] += 12  # the b<0 mirror is also reduced
                 else:
-                    table[D] += 1
+                    sixths[D] += 6
                 c += 1
-    return table
+    return {0: Fraction(-1, 12)} | {D: Fraction(s, 6) for D, s in sixths.items()}
 
 
 def is_fundamental(D: int) -> bool:

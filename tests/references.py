@@ -3,11 +3,14 @@ between forms, against which qform.gamma0_class is checked, membership
 and the Gram determinant of a coordinate lattice, against which its
 coset list is checked, the scalar Kudla-Millson term of one lattice
 vector, against which thetalift's vectorized kernel sums are checked,
-and the scan over all of Z/c for the roots of x^2 = -D, against which
-sums.exp_sum_S's CRT roots are checked."""
+the scan over all of Z/c for the roots of x^2 = -D, against which
+sums.exp_sum_S's CRT roots are checked, and the reduced forms collected
+with their mirrors and sorted, against which qform.enumerate_reduced's
+one ordered pass over integer triples is checked."""
 
 import math
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 import numpy as np
@@ -185,3 +188,28 @@ def exp_sum_scan(D: int, c: int) -> tuple:
     joined the roots mod each prime power by CRT."""
     x = np.arange(c, dtype=np.int64)
     return exp_sum_terms(c, np.flatnonzero((x * x + D % c) % c == 0).tolist())
+
+
+# ---------------------------------------------------------------------------
+# reduced forms by collecting every form and its mirror, then sorting
+
+def enumerate_reduced_scan(D: int) -> list:
+    """All reduced forms of discriminant -D, lexicographic in (a, b, c):
+    each b >= 0 form and its reduced mirror [a, -b, c] as found, then one
+    sort, the route enumerate_reduced took before it put the mirrors in
+    place."""
+    if D <= 0 or D % 4 in (1, 2):
+        return []
+    out = []
+    for a in range(1, isqrt(D // 3) + 1):
+        for b in range(D & 1, a + 1, 2):
+            num = b * b + D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            out.append(QuadForm(a, b, c))
+            if 0 < b < a < c:
+                out.append(QuadForm(a, -b, c))
+    return sorted(out, key=lambda f: (f.a, f.b, f.c))

@@ -545,6 +545,25 @@ class TestDuke:
         hi = float(duke_statistic(103, precision=120).value)
         assert abs(lo - hi) < 1e-11
 
+    @pytest.mark.parametrize("D, man_exp, bound", [
+        (3, (93, 3), "2.295708493709585e-30"),
+        (4, (123, 3), "3.0352655923542837e-30"),  # [1, 0, 1] at Im alpha = 1
+        (12, (951339985717672518827344619234407637, -112), "5.676760681380395e-31"),
+        (16, (426362742132741606108787533884085755, -110), "1.0152205634583605e-30"),
+        (27, (965829606385893631180808544286098129, -112), "5.762752665546304e-31"),
+        (36, (989137455618723135999976935233909139, -112), "5.901078453920234e-31"),
+        (100, (1021782399027430054845917574820637715, -112), "6.094817373728904e-31"),
+        (103, (798459956125381155224722362524670557, -115), "6.231453951777703e-32"),
+        (503, (326685480113386124341159737086205661, -112), "1.9696049465931479e-31"),
+        (9999, (335520302186603058191119143930695415, -114), "5.286204665306159e-32"),
+    ])
+    def test_pinned_bytes_at_120_bits(self, D, man_exp, bound):
+        # the mpmath route, bit for bit: a = b = c forms (3, 12, 27), forms
+        # at Im alpha = 1 exactly ([a, 0, a] at D = 4a^2: 4, 16, 36, 100)
+        # and many mirror pairs (503, 9999)
+        r = duke_statistic(D, 120)
+        assert (r.value.man_exp, repr(r.error_bound)) == (man_exp, bound)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             duke_statistic(5)

@@ -4,6 +4,7 @@ Oracle for equivalence questions: brute-force BFS over words in S, T
 (entries capped), independent of the reduction code under test.
 """
 
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace.analytic import trace
+from cmtrace.analytic import duke_statistic, trace
 from cmtrace.qform import (
     QuadForm,
     enumerate_reduced,
@@ -25,7 +26,7 @@ from cmtrace.qform import (
     stabilizer_order,
 )
 from cmtrace.series import QSeries
-from references import apply_gl2, is_gamma0_equivalent, transporter
+from references import apply_gl2, enumerate_reduced_scan, is_gamma0_equivalent, transporter
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -141,6 +142,23 @@ def test_enumerate_reduced_all_reduced_and_complete():
         assert sorted(dumb) == [(f.a, f.b, f.c) for f in forms]
 
 
+def _check_against_scan(D):
+    scan = enumerate_reduced_scan(D)
+    assert enumerate_reduced(D) == scan, D
+    assert hurwitz(D) == sum((Fraction(1, stabilizer_order(f)) for f in scan), Fraction(0)), D
+
+
+def test_enumeration_and_hurwitz_match_scan():
+    for D in range(1, 3001):
+        _check_against_scan(D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=st.integers(1, 200_000))
+def test_enumeration_and_hurwitz_match_scan_large(D):
+    _check_against_scan(D)
+
+
 def test_hurwitz_anchors():
     assert hurwitz(0) == Fraction(-1, 12)
     assert hurwitz(3) == Fraction(1, 3)
@@ -180,6 +198,24 @@ def test_is_fundamental():
     assert not is_fundamental(12) and not is_fundamental(16)
     assert not is_fundamental(27) and not is_fundamental(28)
     assert not is_fundamental(9)
+
+
+# the forms and H(D) of every D <= 10^4, then the value and bound of the
+# float Duke statistic of every discriminant in 3..4000, as recorded
+# before forms were enumerated as integer triples
+_SWEEP_SHA256 = "32d6704d6f0a2fab5fd553d5baf86229680d019dd945a47eb2a246c135e791a0"
+
+
+def test_sweep_bytes_pinned():
+    h = hashlib.sha256()
+    for D in range(0, 10_001):
+        h.update(repr([(f.a, f.b, f.c) for f in enumerate_reduced(D)]).encode())
+        h.update(str(hurwitz(D)).encode())
+    for D in range(3, 4001):
+        if D % 4 in (0, 3):
+            r = duke_statistic(D)
+            h.update(repr((repr(float(r.value)), repr(r.error_bound))).encode())
+    assert h.hexdigest() == _SWEEP_SHA256
 
 
 # ---------------------------------------------------------------------------
