@@ -300,18 +300,20 @@ def level_p_orbits(D: int, p: int):
     Gamma_0(p)-classes of p|a forms correspond to orbits of the stabilizer
     <sigma_R> acting on the labels {(r,s) in P^1(F_p) : R(s,-r) = 0 mod p}
     (the label of g is its bottom row; a_{g.R} = R(s,-r)), with stabilizer
-    order w / (orbit length).  One ascending scan over a = p, 2p, ... gives
-    each class its least form.  The Fricke involution then pairs or fixes
-    classes: a pair keeps its lesser form, a fixed class doubles its
-    stabilizer.
+    order w / (orbit length).  One ascending scan over a = p, 2p, ..., at
+    most p^2 * max_R(a_R + |b_R| + c_R), gives each class its least form;
+    a class left without one raises AssertionError.  The Fricke involution
+    then pairs or fixes classes: a pair keeps its lesser form, a fixed
+    class doubles its stabilizer.
     """
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError("p must be prime")
     if D <= 0 or D % 4 in (1, 2):
         return []
 
+    forms = enumerate_reduced(D)
     stab = {}  # gamma0_class key -> stabilizer order in Gamma_0(p)
-    for R in enumerate_reduced(D):
+    for R in forms:
         w = stabilizer_order(R)
         sig = _stab_generator(R)
         for lab in _proj_labels(p):
@@ -319,14 +321,19 @@ def level_p_orbits(D: int, p: int):
                 orbit = _label_orbit(lab, sig, p)
                 stab[R, min(orbit)] = w // len(orbit)
 
+    # every label lifts to a coprime bottom row (r, s) with |r|, |s| <= p,
+    # and a_{g.R} = R(s, -r), so each class has a form with a <= a_max
+    a_max = p * p * max(R.a + abs(R.b) + R.c for R in forms)
     least = {}  # the same keys, in ascending order of their least forms
-    a = p
-    while len(least) < len(stab):
+    for a in range(p, a_max + 1, p):
+        if len(least) == len(stab):
+            break
         for b in range(-a + 1, a + 1):
             if (b * b + D) % (4 * a) == 0:
                 Q = QuadForm(a, b, (b * b + D) // (4 * a))
                 least.setdefault(gamma0_class(Q, p), Q)
-        a += p
+    if stab.keys() - least.keys():
+        raise AssertionError(f"D={D}, p={p}: classes with no form of a <= {a_max}")
 
     reps = []
     folded = set()

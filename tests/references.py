@@ -6,17 +6,20 @@ vector, against which thetalift's vectorized kernel sums are checked,
 the scan over all of Z/c for the roots of x^2 = -D, against which
 sums.exp_sum_S's CRT roots are checked, and the reduced forms collected
 with their mirrors and sorted, against which qform.enumerate_reduced's
-one ordered pass over integer triples is checked."""
+one ordered pass over integer triples is checked, and the plus-space
+form found by one exact solve over a growing ansatz, against which
+plusspace.plus_form's recursion on the basis g_D is checked."""
 
 import math
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 import numpy as np
 
 from cmtrace.hp import HP, _ulp
 from cmtrace.lattice import LatticeSpec, LatticeVector
+from cmtrace.plusspace import PlusSpaceRankError
 from cmtrace.qform import (
     _ID,
     QuadForm,
@@ -25,6 +28,7 @@ from cmtrace.qform import (
     gamma0_class,
     reduce_with_transform,
 )
+from cmtrace.series import QSeries, t_series, theta_series
 from cmtrace.sums import _COS_TERM_ERR
 
 
@@ -213,3 +217,106 @@ def enumerate_reduced_scan(D: int) -> list:
             if 0 < b < a < c:
                 out.append(QuadForm(a, -b, c))
     return sorted(out, key=lambda f: (f.a, f.b, f.c))
+
+
+# ---------------------------------------------------------------------------
+# plus-space forms by one exact solve over a growing ansatz
+
+def _int_row(row) -> list:
+    """A row of Fractions scaled to coprime integers (same solutions)."""
+    d = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (d // x.denominator) for x in row]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
+def _solve_exact(rows, rhs, n_unknowns):
+    """Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays
+    an integer minor of the scaled system, so each division by the previous
+    pivot is exact.
+
+    Returns (solution, None) when the system has a unique solution,
+    (None, reason) otherwise.
+    """
+    aug = [_int_row(list(r) + [v]) for r, v in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    prev = 1
+    for c in range(n_unknowns):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        row, p = aug[r], aug[r][c]
+        for i in range(len(aug)):
+            if i != r:
+                f = aug[i][c]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], row)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(aug):
+            break
+    if any(aug[i][n_unknowns] for i in range(r, len(aug))):
+        return None, "inconsistent"
+    if len(pivots) < n_unknowns:
+        return None, f"rank {len(pivots)} < {n_unknowns} unknowns"
+    x = [Fraction(0)] * n_unknowns
+    for i, c in enumerate(pivots):
+        x[c] = Fraction(aug[i][n_unknowns], aug[i][c])
+    return x, None
+
+
+def _seed_family(pole_order: int, depth: int, T: int):
+    """theta^3 * {t^a, t^-j, (t+16)^-m} as q-series through exponent T,
+    a = 0..pole_order and j, m = 1..depth."""
+    margin = T + pole_order + 2
+    th3 = theta_series(margin) ** 3
+    t = t_series(margin)
+    seeds = [th3.with_trunc(T)]
+    for base, count in ((t, pole_order), (t.reciprocal(), depth), ((t + 16).reciprocal(), depth)):
+        power = th3
+        for _ in range(count):
+            power = power * base
+            seeds.append(power.with_trunc(T))
+    return seeds
+
+
+def plus_form_solve(principal_part: dict, trunc: int) -> QSeries:
+    """The plus-space form with the given principal part, known below
+    q^trunc, from one exact system: every weakly holomorphic weight-3/2
+    form on Gamma_0(4) is theta^3 times a rational function of t with
+    poles at the cusps t = infinity, 0, -16, so the ansatz is
+    theta^3 * (C[t] + span{t^-j} + span{(t+16)^-m}).  The pole rows and
+    the support rows n = 1, 2 (mod 4) through t_solve are imposed, and
+    the solution's support is checked past them.  The route plus_form
+    took before it built the basis g_D; raises PlusSpaceRankError as it
+    does."""
+    pp = {int(e): Fraction(c) for e, c in principal_part.items() if c}
+    if not pp:
+        return QSeries.zero(trunc)
+    P = -min(pp)
+    depth = P + 4
+    n_unknowns = (P + 1) + 2 * depth
+    # sized to the unknowns less the allowed pole exponents, the rows at
+    # the forbidden exponents are spare, so an unattainable part comes
+    # out inconsistent
+    allowed = sum(1 for e in range(-P, 0) if e % 4 in (0, 3))
+    t_solve = max(40, 2 * (n_unknowns - allowed))
+    T = max(trunc, t_solve + 4) + 1
+    seeds = _seed_family(P, depth, T)
+    exps = list(range(-P, 0)) + [n for n in range(1, t_solve + 1) if n % 4 in (1, 2)]
+    rows = [[s.coeff(n) for s in seeds] for n in exps]
+    rhs = [pp.get(n, Fraction(0)) for n in exps]
+    x, reason = _solve_exact(rows, rhs, n_unknowns)
+    if reason == "inconsistent":
+        raise PlusSpaceRankError(f"principal part {principal_part} is not attainable in the plus space")
+    if x is None:
+        raise PlusSpaceRankError(f"principal part {principal_part}: {reason}")
+    out = QSeries.zero(T)
+    for coef, s in zip(x, seeds):
+        if coef:
+            out = out + coef * s
+    if any(n % 4 in (1, 2) and out.coeff(n) for n in range(1, T)):
+        raise PlusSpaceRankError(f"principal part {principal_part}: support violated")
+    return out.with_trunc(trunc)

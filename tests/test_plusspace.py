@@ -1,5 +1,6 @@
-"""Plus-space solver: reproduces the trace generating series exactly."""
+"""Plus-space forms: the basis g_D reproduces the trace generating series exactly."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace.plusspace import PlusSpaceRankError, _solve_exact, plus_form
-from cmtrace.series import g_series
+from cmtrace.analytic import trace_table
+from cmtrace.plusspace import PlusSpaceRankError, plus_form
+from cmtrace.series import g_series, predicted_series, sigma1
+from references import _solve_exact, plus_form_solve
+
+_PLUS_FORM_SHA256 = "87136ed05caaa20f6b355e33080a7585a7bd4758b201c56e26159012189cb68b"
+
+
+def _faber_part(m):
+    """The principal part of the plus-space form whose coefficients are
+    the traces of J_m."""
+    return {n: c for n, c in predicted_series({-m: 1}).items() if n < 0}
 
 
 def test_unit_pole_reproduces_trace_series():
@@ -36,51 +47,6 @@ def test_pole_nine_lift():
         assert f.coeff(e) == 0
 
 
-def test_first_system_is_solved(monkeypatch):
-    # pole order 9 has 36 unknowns; the one system built has more rows
-    # than that and is solved once
-    import cmtrace.plusspace as ps
-
-    calls = []
-
-    def counted(rows, rhs, n):
-        calls.append((len(rows), n))
-        return _solve_exact(rows, rhs, n)
-
-    monkeypatch.setattr(ps, "_solve_exact", counted)
-    f = plus_form({-1: -1, -9: -3}, 40)
-    assert len(calls) == 1 and calls[0][0] > calls[0][1] == 36
-    assert f.coeff(0) == 8
-
-
-def test_support_check_reads_unimposed_rows(monkeypatch):
-    # the support scan after the solve must reach an exponent n = 1, 2
-    # (mod 4) that the solve did not impose, or it can never fail
-    import cmtrace.plusspace as ps
-    from cmtrace.series import QSeries
-
-    seen = {"solved": False, "scanned": []}
-
-    def solve(rows, rhs, n):
-        seen["support_rows"] = len(rows) - 9  # less the pole rows -9..-1
-        seen["solved"] = True
-        return _solve_exact(rows, rhs, n)
-
-    coeff = QSeries.coeff
-
-    def spy(self, n):
-        if seen["solved"]:
-            seen["scanned"].append(n)
-        return coeff(self, n)
-
-    monkeypatch.setattr(ps, "_solve_exact", solve)
-    monkeypatch.setattr(QSeries, "coeff", spy)
-    plus_form({-1: -1, -9: -3}, 12)
-    support = [n for n in range(1, 1000) if n % 4 in (1, 2)]
-    last_imposed = support[seen["support_rows"] - 1]
-    assert max(n for n in seen["scanned"] if n > 0 and n % 4 in (1, 2)) > last_imposed
-
-
 def _sampled_parts():
     """A fixed sample of principal parts with pole order <= 12 and their
     truncations: each is drawn on the exponents = 0, 3 (mod 4), and every
@@ -98,29 +64,58 @@ def _sampled_parts():
     return parts
 
 
-def test_one_solve_over_sampled_parts(monkeypatch):
-    # every input is solved, or refused as not attainable, by its first
-    # system
-    import cmtrace.plusspace as ps
-
-    calls = []
-
-    def counted(rows, rhs, n):
-        calls.append(n)
-        return _solve_exact(rows, rhs, n)
-
-    monkeypatch.setattr(ps, "_solve_exact", counted)
-    for pp, trunc in _sampled_parts():
-        calls.clear()
+def test_matches_reference_solve_over_sampled_parts():
+    # the recursion on the basis g_D against one exact solve over the
+    # theta^3 * (C[t] + t^-j + (t+16)^-m) ansatz: the same series, or both
+    # refuse the part as not attainable
+    for pp, trunc in _sampled_parts() + [(_faber_part(4), 60)]:
         if all(e % 4 in (0, 3) for e in pp):
             f = plus_form(pp, trunc)
-            assert f.truncation_order == trunc
+            assert f == plus_form_solve(pp, trunc), pp
             assert all(f.coeff(e) == pp.get(e, 0) for e in range(min(pp), 0))
             assert all(f.coeff(n) == 0 for n in range(1, trunc) if n % 4 in (1, 2))
         else:
-            with pytest.raises(PlusSpaceRankError, match="not attainable"):
-                plus_form(pp, trunc)
-        assert len(calls) == 1
+            for solve in (plus_form, plus_form_solve):
+                with pytest.raises(PlusSpaceRankError, match="not attainable"):
+                    solve(pp, trunc)
+
+
+def test_bytes_pinned():
+    # sha256 over dumps(), recorded before plus_form built the basis g_D
+    h = hashlib.sha256()
+    for pp, trunc in _sampled_parts():
+        try:
+            h.update(plus_form(pp, trunc).dumps().encode())
+        except PlusSpaceRankError:
+            h.update(b"not attainable")
+    for m in (2, 3):
+        h.update(plus_form(_faber_part(m), 201).dumps().encode())
+    h.update(plus_form({-1: -1}, 200).dumps().encode())
+    assert h.hexdigest() == _PLUS_FORM_SHA256
+
+
+def test_unattainable_refused_before_any_series(monkeypatch):
+    import cmtrace.plusspace as ps
+
+    def no_series(trunc):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(ps, "theta_series", no_series)
+    monkeypatch.setattr(ps, "t_series", no_series)
+    for pp in ({-30: 1}, {-1: 1, -402: 2}):
+        with pytest.raises(PlusSpaceRankError, match="not attainable"):
+            plus_form(pp, 10)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_faber_traces_match_coefficients(m):
+    # certified CM traces of J_m against the plus-space form with J_m's
+    # principal part, whose constant term is 2 sigma1(m)
+    lift = plus_form(_faber_part(m), 101)
+    assert lift.coeff(0) == 2 * sigma1(m)
+    for e in trace_table(f"J{m}", [D for D in range(3, 101) if D % 4 in (0, 3)]):
+        assert e.certified, (m, e.D)
+        assert e.value_rounded == lift.coeff(e.D), (m, e.D)
 
 
 def test_support_condition_through_200():

@@ -5,6 +5,7 @@ Oracle for equivalence questions: brute-force BFS over words in S, T
 """
 
 import hashlib
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -340,6 +341,34 @@ def test_level_p_reps_have_p_dividing_a():
             assert o.form.a % p == 0
             assert o.form.D == D
             assert o.stabilizer_order in (1, 2, 3, 4, 6)
+
+
+def test_level_p_scan_is_bounded(monkeypatch):
+    # a non-reduced form from the enumeration names a class that no least
+    # form can fill; the least-form scan must stop at its bound and raise,
+    # not run forever (the alarm turns a hang into a failure)
+    import cmtrace.qform as qf
+
+    def with_stray_form(D):
+        return enumerate_reduced(D) + [QuadForm(1, -1, 4)]
+
+    def hung(signum, frame):
+        raise TimeoutError
+
+    monkeypatch.setattr(qf, "enumerate_reduced", with_stray_form)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        level_p_orbits(15, 2)
+        outcome = "returned"
+    except AssertionError as exc:
+        outcome = str(exc)
+    except TimeoutError:
+        outcome = "hung"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "no form" in outcome, outcome
 
 
 def test_fricke_image_involution():
