@@ -18,7 +18,6 @@ from math import isqrt
 from operator import itemgetter
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_mul_int, mpf_pi, to_fixed
 
 from .hp import HP, _ulp
@@ -32,7 +31,7 @@ from .qform import (
     level_p_orbits,
     stabilizer_order,
 )
-from .series import DomainError, QSeries, _poly_in_j, _step, bigJ_series, faber_poly
+from .series import DomainError, QSeries, _poly_in_j, _step, bigJ_series, faber_poly, sigma1
 
 _LN2 = math.log(2.0)
 
@@ -479,88 +478,33 @@ def _duke_statistic_mp(D: int, precision: int) -> HP:
 # ---------------------------------------------------------------------------
 # regularized average and beta
 
-def _f_grid_evaluator(f_spec):
-    """(f_vals(x, y) -> complex ndarray, pole order n0, |leading|).
-
-    Accepts the constant "1" or polynomials in j with vanishing constant
-    term (checked exactly), as in the trace machinery.
-    """
-    _, coeffs, qexp, deg = _parse_fspec(f_spec)
+def _principal_part(f_spec) -> dict:
+    """{m: a(-m)} over m >= 0 for an admissible f = sum_m a(-m) q^-m + O(q):
+    the constant "1", as {0: 1}, or a polynomial in j with vanishing
+    constant term (checked exactly), which is sum_{m >= 1} a(-m) J_m.
+    Anything else raises DomainError."""
+    label, coeffs, qexp, _ = _parse_fspec(f_spec)
+    if label == "1":
+        return {0: Fraction(1)}
     if qexp is not None:
-        raise ValueError("f must be '1' or a polynomial in j")
-    if deg == 0:
-        cst = float(coeffs[0])
-
-        def f_const(x, y):
-            return np.full_like(np.asarray(x, dtype=float), cst) + 0j
-
-        return f_const, 0, abs(cst)
-
-    if _poly_in_j(coeffs, 1).coeff(0) != 0:
-        raise ValueError("f must have vanishing constant term (or be the constant 1)")
-
-    fc = [float(c) for c in coeffs]
-    jc = _J_coeff_floats(28)
-
-    def f_vals(x, y):
-        # f at x + iy on the grid, via j = 1/q + 744 + sum c(n) q^n
-        q = np.exp(2j * np.pi * (np.asarray(x) + 1j * np.asarray(y)))
-        jv = 1.0 / q + 744.0 + _J_tail(q, jc)
-        out = np.zeros_like(q)
-        for c in reversed(fc):
-            out = out * jv + c
-        return out
-
-    return f_vals, deg, abs(fc[-1])
-
-
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    """The degree-n Gauss-Legendre rule.  The quadrature panels reuse a few
-    degrees, and building one takes 0.4-0.8 ms at degrees 12-27."""
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _fd_columns(n: int, ya: float = None, yb: float = None):
-    """Yield (x, wx, ys, wys) for each column of the degree-n tensor
-    Gauss-Legendre rule on one panel of the fundamental domain folded onto
-    x in [0, 1/2] (the integrands are even in x): the arc panel, y from
-    sqrt(1 - x^2) to 1, when ya is None, else the strip ya <= y <= yb."""
-    g, w = _leggauss(n)
-    for x, wx in zip(0.25 * (g + 1.0), 0.25 * w):
-        y0, y1 = (math.sqrt(1.0 - x * x), 1.0) if ya is None else (ya, yb)
-        yield x, wx, 0.5 * (y1 - y0) * (g + 1.0) + y0, 0.5 * (y1 - y0) * w
+        raise DomainError("f must be '1' or a polynomial in j")
+    f = _poly_in_j(coeffs, 1)
+    if f.coeff(0) != 0:
+        raise DomainError("f must have vanishing constant term (or be the constant 1)")
+    return {-n: c for n, c in f.terms.items() if c}  # j's q-grid is whole powers
 
 
 def regularized_average(f_spec) -> HP:
-    """(3/pi) * regularized integral of f over the modular curve.
+    """(3/pi) * regularized integral of f over the modular curve, exactly.
 
-    Only the sliver of the fundamental domain below y = 1 needs
-    quadrature: above it the domain is the full unit strip, where each
-    horocycle integral equals the constant term -- exactly zero for the
-    admissible f, and handled in closed form for the constant function.
-    The quadrature runs in float64, so the result is declared at 53 bits.
+    The constant term of the Bruinier-Funke lift gives <J_m> = -24 sigma1(m)
+    for m >= 1, and sigma1(0) = -1/24 gives <1> = 1, so
+    <f> = -24 sum_m a(-m) sigma1(m) over f's principal part.  The value is
+    declared at 53 bits; its bound is the one rounding to them, if any.
     """
-    f_vals, n0, _ = _f_grid_evaluator(f_spec)
-    if n0 == 0:  # the constant 1
-        return HP(1, 0.0, 53)
-
-    def quad_once(n):
-        total = 0.0
-        for x, wx, y, wy in _fd_columns(n):
-            vals = f_vals(np.full_like(y, x), y).real / (y * y)
-            total += wx * float(np.dot(wy, vals))
-        return 2.0 * total  # unfold x-symmetry
-
-    prev = quad_once(24)
-    cur = quad_once(48)
-    change = abs(cur - prev)
-    if change > 1e-10 * (abs(cur) + 1):
-        prev, cur = cur, quad_once(96)
-        change = abs(cur - prev)
-    val = (3.0 / math.pi) * cur
-    eb = (3.0 / math.pi) * change + 1e-11 * (abs(val) + 1.0)
-    return HP(mp.mpf(val), eb, 53)
+    val = -24 * sum((c * sigma1(m) for m, c in _principal_part(f_spec).items()), Fraction(0))
+    x = float(val)  # correctly rounded
+    return HP(x, 0.0 if x == val else _ulp(abs(x), 53), 53)
 
 
 def beta_integral(s, precision: int = 53) -> HP:

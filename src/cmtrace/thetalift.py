@@ -5,7 +5,8 @@ built from _s_q_majorant's s, q(X) and majorant M, over a dual coset of
 the lattice with a certified Gaussian tail; theta_integral pairs the
 kernel with a weakly holomorphic input over the modular curve;
 fourier_extract reads trace coefficients off the lift; eisen_prediction
-gives the closed-form target for the lift of the constant function.
+gives the closed-form target for the lift of the constant function;
+sliver_average is the quadrature check of the closed-form average of f.
 
 theta_kernel sums one node under mpmath, at a precision set by its tol;
 the quadrature sums the same enumeration in float64/numpy.  Both run in a
@@ -31,11 +32,12 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
-from .analytic import _f_grid_evaluator, _fd_columns, beta_integral
+from .analytic import _J_coeff_floats, _J_tail, _parse_fspec, _principal_part, beta_integral
 from .hp import HP
 from .lattice import LatticeSpec, LatticeVector
 from .qform import hurwitz
@@ -268,12 +270,68 @@ def theta_kernel(h, tau, z, tol: float = 1e-10) -> HP:
 
 
 # ---------------------------------------------------------------------------
+# the float grid on the fundamental domain
+
+def _f_grid_evaluator(f_spec):
+    """(f_vals(x, y) -> complex ndarray, principal part) for an admissible
+    f, its principal part as from analytic._principal_part."""
+    pp = _principal_part(f_spec)
+    fc = [float(c) for c in _parse_fspec(f_spec)[1]]
+    jc = _J_coeff_floats(28)
+
+    def f_vals(x, y):
+        # f at x + iy on the grid, via j = 1/q + 744 + sum c(n) q^n; the
+        # constant 1 needs no j
+        out = np.full(np.shape(x), fc[-1], dtype=complex)
+        if len(fc) > 1:
+            q = np.exp(2j * np.pi * (np.asarray(x) + 1j * np.asarray(y)))
+            jv = 1.0 / q + 744.0 + _J_tail(q, jc)
+            for c in reversed(fc[:-1]):
+                out = out * jv + c
+        return out
+
+    return f_vals, pp
+
+
+@lru_cache(maxsize=8)
+def _leggauss(n: int):
+    """The degree-n Gauss-Legendre rule.  The quadrature panels reuse a few
+    degrees, and building one takes 0.4-0.8 ms at degrees 12-27."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _fd_columns(n: int, ya: float = None, yb: float = None):
+    """Yield (x, wx, ys, wys) for each column of the degree-n tensor
+    Gauss-Legendre rule on one panel of the fundamental domain folded onto
+    x in [0, 1/2] (the integrands are even in x): the arc panel, y from
+    sqrt(1 - x^2) to 1, when ya is None, else the strip ya <= y <= yb."""
+    g, w = _leggauss(n)
+    for x, wx in zip(0.25 * (g + 1.0), 0.25 * w):
+        y0, y1 = (math.sqrt(1.0 - x * x), 1.0) if ya is None else (ya, yb)
+        yield x, wx, 0.5 * (y1 - y0) * (g + 1.0) + y0, 0.5 * (y1 - y0) * w
+
+
+def sliver_average(f_spec) -> float:
+    """analytic.regularized_average by one degree-48 float64 pass of
+    _fd_columns, its numerical check.  Only the sliver below y = 1 needs
+    quadrature: above it the domain is the full unit strip, of measure 1,
+    where each horocycle integral equals the constant term a(0)."""
+    f_vals, pp = _f_grid_evaluator(f_spec)
+    total = 0.0
+    for x, wx, y, wy in _fd_columns(48):
+        vals = f_vals(np.full_like(y, x), y).real / (y * y)
+        total += wx * float(np.dot(wy, vals))
+    return float((3.0 / math.pi) * (2.0 * total + float(pp.get(0, 0))))  # unfold x-symmetry
+
+
+# ---------------------------------------------------------------------------
 # the regularized pairing over the modular curve
 
 def _strip_bound(Y: float, v: float, n0: int, alead: float) -> float:
     # x-integrated kernel modes are O(y^3 e^{-pi y^2 / v}); they pair with
-    # input modes growing like e^{2 pi n0 y}.  Constant 20 is a margin,
-    # validated by the Y vs Y+1 comparison test.
+    # input modes growing like e^{2 pi n0 y}; it bounds the e^{-pi v y^2} of
+    # the x3 != 0 terms only for v >= 1, the floor the callers keep.
+    # Constant 20 is a margin, validated by the Y vs Y+1 comparison test.
     return 20.0 * (1 + 1 / v) ** 2 * max(alead, 1.0) * (1 + Y ** 3) * math.exp(
         2 * math.pi * n0 * Y - math.pi * Y * Y / v)
 
@@ -299,7 +357,9 @@ def _integral_profile(h, v: float, f_spec, tol: float, us, y_top: float = None):
     if not tol >= _FLOAT_TOL:
         raise ValueError(f"tol >= {_FLOAT_TOL:g} required: the kernel sums are float64")
     hv = _resolve_h(h)
-    f_vals, n0, alead = _f_grid_evaluator(f_spec)
+    f_vals, pp = _f_grid_evaluator(f_spec)
+    n0 = max(pp, default=0)
+    alead = float(abs(pp.get(n0, 0)))
     Y = y_top if y_top is not None else _strip_cutoff(v, n0, alead, tol)
     us = np.asarray(us, dtype=float)
 
@@ -359,8 +419,8 @@ def theta_integral(h, tau, f_spec, tol: float = 1e-4) -> HP:
     lattice's modular curve (raw normalization: Fourier coefficients are
     twice the CM traces, the +-X pairs of the kernel both contributing)."""
     tt = complex(tau)
-    if tt.imag < 0.5:
-        raise ValueError("Im tau >= 1/2 required by the truncation design")
+    if tt.imag < 1:
+        raise ValueError("Im tau >= 1 required by the truncation design")
     vals, err = _integral_profile(h, tt.imag, f_spec, tol, [tt.real])
     return HP(mp.mpc(complex(vals[0])), err, 53)
 
@@ -380,14 +440,14 @@ def fourier_extract(h, m, v: float, f_spec, grid_size: int = 8,
     """
     if grid_size < 8:
         raise ValueError("grid_size >= 8 required")
-    if v < 0.5:
-        raise ValueError("v >= 1/2 required")
+    if v < 1:
+        raise ValueError("v >= 1 required by the truncation design")
     hv = _resolve_h(h)
     mf = Fraction(m).limit_denominator(64) if not isinstance(m, Fraction) else Fraction(m)
     if (mf - Fraction(hv.q())) % 1 != 0:
         raise ValueError(f"m = {m} is not congruent to q(h) mod 1")
 
-    _, n0, _ = _f_grid_evaluator(f_spec)
+    n0 = max(_principal_part(f_spec), default=0)
     # principal-part aliasing: poles of the lift sit at exponents >= -n0^2/4
     for k in range(1, 4):
         cand = mf - k * grid_size

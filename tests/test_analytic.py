@@ -34,7 +34,8 @@ from cmtrace.analytic import (
     trace_table,
 )
 from cmtrace.qform import QuadForm, enumerate_reduced, fricke_image, hurwitz, level_p_orbits
-from cmtrace.series import QSeries, eta, faber_poly, g_series, j_series, t_series
+from cmtrace.series import DomainError, QSeries, eta, faber_poly, g_series, j_series, sigma1, t_series
+from cmtrace.thetalift import sliver_average
 
 SQ3 = math.sqrt(3)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -595,6 +596,37 @@ class TestRegularizedAverage:
             regularized_average("j")
         with pytest.raises(ValueError):
             regularized_average([1, 1])
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_closed_form(self, m):
+        # <J_m> = -24 sigma1(m), exactly; the quadrature returned
+        # 1.235e9 +- 3.4e8 for J9 and -4.76e19 +- 4.7e18 for J12
+        r = regularized_average(f"J{m}")
+        assert float(r.value) == -24 * sigma1(m) and r.error_bound == 0.0
+
+    def test_linear_in_principal_part(self):
+        assert float(regularized_average([-1488, 2]).value) == -48  # 2J
+        # J2/2 - J/3 as a polynomial in j with Fraction coefficients
+        a, b = Fraction(1, 2), Fraction(-1, 3)
+        f = [a * c2 + b * c1 for c2, c1 in zip(faber_poly(2), faber_poly(1) + [0])]
+        r = regularized_average(f)
+        assert float(r.value) == a * -72 + b * -24 and r.error_bound == 0.0
+
+    def test_inexact_value_charges_its_rounding(self):
+        r = regularized_average([Fraction(-744, 7), Fraction(1, 7)])  # J/7
+        assert 0 < r.error_bound < 1e-14 and abs(r.value + mp.mpf(24) / 7) <= r.error_bound
+
+    def test_rejects_qexpansion_as_domain_error(self):
+        with pytest.raises(DomainError):
+            regularized_average(j_series(3))
+        with pytest.raises(DomainError):
+            regularized_average("j")
+
+    @pytest.mark.parametrize("f, tol", [("J", 1e-8), ("J2", 1e-6), ("J3", 1e-6), ([-1488, 2], 1e-6)])
+    def test_quadrature_matches_closed_form(self, f, tol):
+        # the numerical route of `verify atkin`: gaps 1.4e-13, 6.2e-11,
+        # 2.0e-8 and 2.8e-13
+        assert abs(sliver_average(f) - float(regularized_average(f).value)) < tol
 
 
 class TestBeta:

@@ -121,6 +121,13 @@ class TestSchemas:
         (row,) = rows_of(out)
         assert abs(row["value"] - 1) < 1e-6
 
+    @pytest.mark.parametrize("f, want", [("J9", -312), ("J12", -672)])
+    def test_avg_exact(self, capsys, f, want):
+        # these printed 1.235e9 +- 3.4e8 and -4.76e19 +- 4.7e18 with exit 0
+        code, out = invoke(capsys, "avg", "--f", f)
+        (row,) = rows_of(out)
+        assert code == 0 and (row["value"], row["error_bound"]) == (want, 0.0)
+
     def test_theta_row(self, capsys):
         _, out = invoke(capsys, "theta", "--h", "0", "--tau", "1.5j",
                         "--f", "1", "--tol", "1e-2")
@@ -219,6 +226,9 @@ class TestExitCodes:
         ("trace", "--range", "3-5"),
         ("theta", "--tau", "foo"),
         ("trace", "--f", "J0", "--D", "3"),
+        # j = J + 744 has a nonzero constant term
+        ("avg", "--f", "j"),
+        ("theta", "--tau", "1j", "--f", "j"),
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2

@@ -2,7 +2,7 @@
 committed files under tests/data/golden.  `verify` reports are compared
 with every `seconds` field dropped.
 
-The quadrature commands (theta, avg) and `verify weil` print floats that
+The quadrature command `theta` and `verify weil` print floats that
 depend on the numpy version, so they are compared only under the numpy
 version recorded in numpy_version.txt there, and skipped under any other.
 After a deliberate output change, regenerate every file (and that record)
@@ -37,10 +37,10 @@ COMMANDS = {
     "poincare_4_1_2": ["poincare", "--k", "4", "--m", "1", "--n", "2", "--cmax", "300"],
     "duke_500_600": ["duke", "--range", "500:600"],
     "verify_decay": ["verify", "decay"],
+    "avg_J": ["avg", "--f", "J"],
 }
 NUMPY_COMMANDS = {
     "theta_0_J": ["theta", "--h", "0", "--tau", "0.25+1.5j", "--f", "J", "--tol", "1e-4"],
-    "avg_J": ["avg", "--f", "J"],
     "verify_weil": ["verify", "weil"],
 }
 NUMPY_VERSION = GOLDEN_DIR / "numpy_version.txt"

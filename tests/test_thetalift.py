@@ -7,13 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmtrace.analytic import _f_grid_evaluator, _fd_columns
 from cmtrace.lattice import LatticeSpec, LatticeVector, pair
 from cmtrace.thetalift import (
     _BLOCK,
     _THETA,
     _coset_points,
     _enumerate_qsums,
+    _f_grid_evaluator,
+    _fd_columns,
     _integral_profile,
     _local_cholesky,
     _panel_quad,
@@ -387,6 +388,16 @@ class TestFourierExtract:
             fourier_extract(1, 0.75, 1.0, "J", grid_size=4)
         with pytest.raises(ValueError):
             fourier_extract(1, 0.75, 0.2, "J")
+
+    @pytest.mark.parametrize("v, D", [(0.75, 15), (0.75, 23), (0.6, 15), (0.6, 24), (0.6, 31)])
+    def test_height_below_one_refused(self, v, D):
+        # below v = 1 the cusp bound misses the e^{-pi v y^2} decay of the
+        # x3 != 0 terms: at v = 0.75, D = 15 this returned
+        # -192512.745 +- 9.4e-3, while the trace is -192513
+        with pytest.raises(ValueError, match="v >= 1"):
+            fourier_extract(0 if D % 4 == 0 else 1, D / 4, v, "J", grid_size=16, tol=1e-9)
+        with pytest.raises(ValueError, match="Im tau >= 1"):
+            theta_integral(0, complex(0, v), "J")
 
     def test_principal_part_alias_warns(self):
         with pytest.warns(UserWarning, match="alias"):
